@@ -1,29 +1,33 @@
-//! Rolling-horizon warm start: the cross-cycle pipeline (persistent
-//! committed-occupancy book, carried trial cache and phase-1 memos,
-//! adaptive shard count) against the from-scratch oracle at ~1k / ~4k
-//! requests per cycle over 5 and 20 cycles.
+//! Rolling-horizon warm start: the service loop's cross-cycle pipeline
+//! (persistent committed-occupancy book, carried trial cache) against
+//! the from-scratch reference at ~1k / ~4k requests per cycle over 5
+//! and 20 cycles.
 //!
-//! Four arms per size: the cold monolithic oracle (the original
-//! re-solve-everything loop), cold sharded at 4 shards, warm sharded at
-//! 4 shards, and warm with the adaptive selector picking the count. The
-//! instance is the sharded solver's exactness regime — regional workload
-//! under a neighborhood-local placement policy — so besides the timing
-//! the bench *asserts* the contract: every arm's per-cycle Ψ within 1e-9
-//! relative of the cold monolithic oracle, every cycle overflow-free.
+//! Three arms per size: the cold monolithic reference (the original
+//! re-solve-everything loop, through `cold_horizon`), cold sharded at 4
+//! shards (`cold_horizon`), and warm sharded at 4 shards
+//! (`service_horizon`, the service loop in its oracle configuration).
+//! The instance is the sharded solver's exactness regime — regional
+//! workload under a neighborhood-local placement policy — so besides
+//! the timing the bench *asserts* the contract: every arm's per-cycle Ψ
+//! within 1e-9 relative of the cold monolithic reference, every cycle
+//! overflow-free.
 //!
 //! Besides the criterion report, a machine-readable summary (median
-//! solve and wall ns per arm, solve-time speedups, hit counters) is
-//! written to
-//! `results/BENCH_cycles.json`. In `--test` smoke mode everything runs
-//! once on the smallest size only and the JSON artifact is untouched.
+//! solve and wall ns per arm, the warm solve-time speedup, the trial
+//! hit counter) is written to `results/BENCH_cycles.json`. In `--test`
+//! smoke mode everything runs once on the smallest size only and the
+//! JSON artifact is untouched.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use vod_core::{GreedyPolicy, ShardConfig, SorpConfig};
 use vod_experiments::{
-    cycles::{rolling_horizon_with, RollingConfig, RollingOutcome},
+    cycles::{cold_horizon, RollingOutcome},
+    service::{service_horizon, ServiceParams},
     EnvParams,
 };
+use vod_obs::Recorder;
 
 /// ~`n` requests per cycle: 19 neighborhoods × 10 users × rpu.
 fn params(rpu: usize) -> EnvParams {
@@ -41,16 +45,19 @@ fn shard_cfg(mono: bool) -> ShardConfig {
     }
 }
 
-/// The four arms, in reporting order.
-fn arms() -> [(&'static str, RollingConfig); 4] {
-    let sharded =
-        RollingConfig { shard: shard_cfg(false), regional: true, ..RollingConfig::default() };
-    [
-        ("cold_mono", RollingConfig { shard: shard_cfg(true), ..sharded.clone() }.cold()),
-        ("cold_shard4", sharded.cold()),
-        ("warm_shard4", sharded.clone()),
-        ("warm_adaptive", RollingConfig { adaptive: true, ..sharded }),
-    ]
+/// The three arms, in reporting order: `(name, monolithic, warm)`.
+const ARMS: [(&str, bool, bool); 3] =
+    [("cold_mono", true, false), ("cold_shard4", false, false), ("warm_shard4", false, true)];
+
+/// Run one arm: `mono` picks the monolithic solver, `warm` the service
+/// loop instead of the cold reference.
+fn run_arm(p: &EnvParams, n_cycles: usize, mono: bool, warm: bool) -> RollingOutcome {
+    let sp = ServiceParams { shard: shard_cfg(mono), regional: true, ..ServiceParams::default() };
+    if warm {
+        service_horizon(p, n_cycles, &sp, &Recorder::disabled()).0
+    } else {
+        cold_horizon(p, n_cycles, &sp)
+    }
 }
 
 /// Per-arm medians over `samples` round-robin passes: rep `i` times
@@ -59,15 +66,15 @@ fn arms() -> [(&'static str, RollingConfig); 4] {
 /// arm happened to run during a noisy stretch. Returns
 /// `(solve_ns, wall_ns)` medians per arm — solve is the scheduler
 /// pipeline itself (summed per-cycle `solve_ns`), wall additionally
-/// includes the synthetic workload generation the harness performs in
-/// place of a real request intake, identical across arms.
-fn measure_arms(p: &EnvParams, n_cycles: usize, samples: usize) -> ([f64; 4], [f64; 4]) {
-    let mut solve: [Vec<f64>; 4] = Default::default();
-    let mut wall: [Vec<f64>; 4] = Default::default();
+/// includes the world and arrival-trace set-up and the per-cycle intake
+/// and commit, identical across arms.
+fn measure_arms(p: &EnvParams, n_cycles: usize, samples: usize) -> ([f64; 3], [f64; 3]) {
+    let mut solve: [Vec<f64>; 3] = Default::default();
+    let mut wall: [Vec<f64>; 3] = Default::default();
     for _ in 0..samples {
-        for (ai, (_, cfg)) in arms().iter().enumerate() {
+        for (ai, &(_, mono, warm)) in ARMS.iter().enumerate() {
             let start = Instant::now();
-            let out = std::hint::black_box(rolling_horizon_with(p, n_cycles, cfg));
+            let out = std::hint::black_box(run_arm(p, n_cycles, mono, warm));
             wall[ai].push(start.elapsed().as_nanos() as f64);
             solve[ai].push(out.cycles.iter().map(|c| c.warm.solve_ns).sum::<u64>() as f64);
         }
@@ -100,12 +107,10 @@ fn assert_psi_matches(arm: &str, run: &RollingOutcome, oracle: &RollingOutcome) 
 struct Row {
     requests: usize,
     cycles: usize,
-    arm_ns: [f64; 4],
-    arm_wall_ns: [f64; 4],
+    arm_ns: [f64; 3],
+    arm_wall_ns: [f64; 3],
     psi_rel_err: f64,
     trials_hit: usize,
-    phase1_hits: usize,
-    adaptive_shards_last: usize,
 }
 
 fn emit_json(rows: &[Row], smoke: bool) {
@@ -116,31 +121,25 @@ fn emit_json(rows: &[Row], smoke: bool) {
     let mut body = String::from("{\n  \"bench\": \"cycles_warm\",\n");
     body.push_str("  \"smoke\": false,\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let [cold_mono, cold_shard, warm_shard, warm_adaptive] = r.arm_ns;
-        let [cold_mono_w, cold_shard_w, warm_shard_w, warm_adaptive_w] = r.arm_wall_ns;
+        let [cold_mono, cold_shard, warm_shard] = r.arm_ns;
+        let [cold_mono_w, cold_shard_w, warm_shard_w] = r.arm_wall_ns;
         body.push_str(&format!(
             "    {{\"requests\": {}, \"cycles\": {}, \"cold_mono_ns\": {:.0}, \
-             \"cold_shard4_ns\": {:.0}, \"warm_shard4_ns\": {:.0}, \"warm_adaptive_ns\": {:.0}, \
+             \"cold_shard4_ns\": {:.0}, \"warm_shard4_ns\": {:.0}, \
              \"cold_mono_wall_ns\": {:.0}, \"cold_shard4_wall_ns\": {:.0}, \
-             \"warm_shard4_wall_ns\": {:.0}, \"warm_adaptive_wall_ns\": {:.0}, \
-             \"speedup_warm4\": {:.2}, \"speedup_adaptive\": {:.2}, \"psi_rel_err\": {:.3e}, \
-             \"trials_hit\": {}, \"phase1_hits\": {}, \"adaptive_shards_last\": {}}}{}\n",
+             \"warm_shard4_wall_ns\": {:.0}, \"speedup_warm4\": {:.2}, \
+             \"psi_rel_err\": {:.3e}, \"trials_hit\": {}}}{}\n",
             r.requests,
             r.cycles,
             cold_mono,
             cold_shard,
             warm_shard,
-            warm_adaptive,
             cold_mono_w,
             cold_shard_w,
             warm_shard_w,
-            warm_adaptive_w,
             cold_mono / warm_shard.max(1e-9),
-            cold_mono / warm_adaptive.max(1e-9),
             r.psi_rel_err,
             r.trials_hit,
-            r.phase1_hits,
-            r.adaptive_shards_last,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -163,23 +162,19 @@ fn bench(c: &mut Criterion) {
         for &n_cycles in cycle_counts {
             // --- Contract checks, once per cell, outside the timing ----
             let runs: Vec<RollingOutcome> =
-                arms().iter().map(|(_, cfg)| rolling_horizon_with(&p, n_cycles, cfg)).collect();
+                ARMS.iter().map(|&(_, mono, warm)| run_arm(&p, n_cycles, mono, warm)).collect();
             let oracle = &runs[0];
             assert_eq!(oracle.cycles[0].requests, n, "cell size drifted");
             let mut worst = 0.0f64;
-            for ((name, _), run) in arms().iter().zip(&runs) {
+            for ((name, _, _), run) in ARMS.iter().zip(&runs) {
                 worst = worst.max(assert_psi_matches(name, run, oracle));
             }
-            let warm_run = &runs[2];
-            let trials_hit: usize = warm_run.cycles.iter().map(|c| c.warm.trials_hit).sum();
-            let phase1_hits: usize = warm_run.cycles.iter().map(|c| c.warm.phase1_hits).sum();
-            let adaptive_shards_last =
-                runs[3].cycles.last().expect("cycles exist").warm.shards_used;
+            let trials_hit: usize = runs[2].cycles.iter().map(|c| c.warm.trials_hit).sum();
 
             // --- Timing ------------------------------------------------
             let samples = if smoke { 1 } else { 5 };
             let (arm_ns, arm_wall_ns) = measure_arms(&p, n_cycles, samples);
-            for (ai, (name, _)) in arms().iter().enumerate() {
+            for (ai, (name, _, _)) in ARMS.iter().enumerate() {
                 eprintln!(
                     "cycles/{n}x{n_cycles}/{name}: solve {:.1} ms ({:.2}x vs cold monolithic), \
                      wall {:.1} ms",
@@ -191,8 +186,8 @@ fn bench(c: &mut Criterion) {
             if !smoke && n_cycles == 5 {
                 let mut g = c.benchmark_group(&format!("cycles/{n}x{n_cycles}"));
                 g.sample_size(10);
-                for (name, cfg) in arms() {
-                    g.bench_function(name, |b| b.iter(|| rolling_horizon_with(&p, n_cycles, &cfg)));
+                for (name, mono, warm) in ARMS {
+                    g.bench_function(name, |b| b.iter(|| run_arm(&p, n_cycles, mono, warm)));
                 }
                 g.finish();
             }
@@ -203,8 +198,6 @@ fn bench(c: &mut Criterion) {
                 arm_wall_ns,
                 psi_rel_err: worst,
                 trials_hit,
-                phase1_hits,
-                adaptive_shards_last,
             });
         }
     }

@@ -21,9 +21,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use vod_core::Rung;
 use vod_experiments::{
-    service::{service_horizon, service_horizon_full, ServiceParams},
+    service::{service_catalog, service_horizon, ServiceParams},
     EnvParams,
 };
+use vod_obs::Recorder;
 use vod_simulator::{check_service_accounting, cycle_is_clean, replay_service_cycle};
 
 const N_CYCLES: usize = 6;
@@ -75,7 +76,8 @@ fn measure(arm_list: &[(&'static str, usize)], samples: usize) -> Vec<(f64, f64)
         for (ai, (_, mult)) in arm_list.iter().enumerate() {
             let sp = service_params(*mult);
             let start = Instant::now();
-            let (outcome, _) = std::hint::black_box(service_horizon(&p, N_CYCLES, &sp));
+            let (outcome, _, _) =
+                std::hint::black_box(service_horizon(&p, N_CYCLES, &sp, &Recorder::disabled()));
             wall[ai].push(start.elapsed().as_nanos() as f64);
             solve[ai].push(outcome.cycles.iter().map(|c| c.warm.solve_ns).sum::<u64>() as f64);
         }
@@ -136,18 +138,12 @@ fn bench(c: &mut Criterion) {
     let mut rows = Vec::new();
     for &(arm, mult) in arm_list {
         let sp = service_params(mult);
-        let (outcome, report, raw) = service_horizon_full(&p, N_CYCLES, &sp);
+        let (outcome, report, raw) = service_horizon(&p, N_CYCLES, &sp, &Recorder::disabled());
         assert_eq!(report.conservation_error(), 0, "{arm}: accounting leak");
         let complaints = check_service_accounting(&report);
         assert!(complaints.is_empty(), "{arm}: {complaints:?}");
         let (topo, _) = p.build();
-        let catalog = vod_workload::generate_catalog(
-            &vod_workload::CatalogConfig {
-                videos: p.videos,
-                ..vod_workload::CatalogConfig::paper()
-            },
-            p.seed ^ 0xCA7A_10C0_FFEE_0001,
-        );
+        let catalog = service_catalog(&p);
         let model = vod_cost_model::CostModel::per_hop();
         for out in &raw {
             let sim = replay_service_cycle(&topo, &catalog, &model, out);
@@ -221,7 +217,9 @@ fn bench(c: &mut Criterion) {
         g.sample_size(10);
         for (arm, mult) in arms() {
             let sp = service_params(mult);
-            g.bench_function(arm, |b| b.iter(|| service_horizon(&p, N_CYCLES, &sp)));
+            g.bench_function(arm, |b| {
+                b.iter(|| service_horizon(&p, N_CYCLES, &sp, &Recorder::disabled()))
+            });
         }
         g.finish();
     }

@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use vod_experiments::{
-    service::{service_horizon_recorded, ServiceParams},
+    service::{service_horizon, ServiceParams},
     EnvParams,
 };
 use vod_obs::Recorder;
@@ -36,7 +36,7 @@ fn service_params() -> ServiceParams {
 }
 
 fn run(p: &EnvParams, recorder: &Recorder) -> Vec<u64> {
-    let (outcome, _, _) = service_horizon_recorded(p, N_CYCLES, &service_params(), recorder);
+    let (outcome, _, _) = service_horizon(p, N_CYCLES, &service_params(), recorder);
     outcome.cycles.iter().map(|c| c.cost.to_bits()).collect()
 }
 

@@ -1,6 +1,7 @@
 //! Async service frontend: admission control, a deadline-budgeted
-//! degradation ladder, and overload shedding for the rolling-horizon
-//! scheduler.
+//! degradation ladder, and overload shedding for the cycle-by-cycle
+//! scheduler. [`service_run`] is the one cycle driver: every
+//! multi-cycle run in the workspace goes through it.
 //!
 //! The paper frames VOR as a *service*: requests arrive continuously
 //! ahead of their reserved start times, and the provider must keep
@@ -17,9 +18,8 @@
 //!   (`max_iterations = 0`, the deterministic direct-delivery fallback)
 //!   → heat-ranked shedding. The rung is chosen by a [`BudgetModel`] —
 //!   an EMA over **simulated** nanoseconds derived from the solver's
-//!   deterministic work counters, in the style of
-//!   [`crate::ShardSelector`] — never from the wall clock, so a run's
-//!   rung sequence is bit-reproducible across machines and
+//!   deterministic work counters — never from the wall clock, so a
+//!   run's rung sequence is bit-reproducible across machines and
 //!   [`ExecMode`]s;
 //! * shed and fault-displaced requests **re-enqueue into later cycles**
 //!   with capped exponential backoff and a drop-after-N policy
@@ -27,20 +27,22 @@
 //!   straight into the loop, so [`crate::repair_schedule`] runs between
 //!   cycles instead of only in one-shot tests;
 //! * everything is accounted in a [`ServiceReport`]: per-cycle rung,
-//!   queue-depth high-water mark, admitted / deferred / shed / dropped
-//!   counts, deadline misses, and the backoff histogram, with a
+//!   queue-depth high-water mark, admitted / deferred / shed / bounced /
+//!   dropped counts, deadline misses, and the backoff histogram, with a
 //!   [`ServiceReport::conservation_error`] balance check.
 //!
 //! ## Equivalence oracle
 //!
 //! With an unbounded queue, an infinite budget, no saturation limit,
 //! and an empty fault plan, every cycle runs the [`Rung::Full`] solve
-//! on exactly the batch the rolling-horizon loop would have built
+//! on exactly the requests whose reservations fall in its window
 //! ([`vod_cost_model::RequestBatch::new`] normalises request order, so
-//! queue ordering is invisible to the solver), against the same
-//! [`WarmState`] evolution — committed schedules and Ψ are
-//! bit-identical to `rolling_horizon` on the same arrival trace. The
-//! `service_props` suite asserts this.
+//! queue ordering is invisible to the solver). A warm solve of such a
+//! batch equals a cold [`crate::shard_solve_seeded`] against the flat
+//! list of every earlier cycle's residencies within 1e-9 relative Ψ:
+//! `vod_experiments::cycles::cold_horizon` is that cold reference, and
+//! the `service_props` and `warm_start_props` suites and the
+//! `cycles_warm` bench assert the equivalence per cycle.
 //!
 //! ## Determinism of the ladder
 //!
@@ -168,7 +170,8 @@ impl BackoffPolicy {
 
 /// Configuration of the service loop. The default is the *oracle*
 /// configuration: unbounded queue, infinite budget, no admission limit,
-/// no faults — bit-identical to the rolling-horizon loop.
+/// no faults — the one `vod_experiments::cycles::cold_horizon` checks
+/// against.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// The sharded-solver configuration the [`Rung::Full`] solve runs
@@ -212,8 +215,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// EMA weight of a new observation, mirroring
-/// [`crate::ShardSelector`]'s online calibration.
+/// EMA weight of a new observation.
 const EMA_ALPHA: f64 = 0.3;
 
 /// Simulated cost per scheduled request (the phase-1 greedy share).
@@ -241,11 +243,10 @@ pub struct BudgetModel {
 impl Default for BudgetModel {
     fn default() -> Self {
         // Seeds in the same currency as `simulated_ns`: a ~1k-request
-        // full solve runs a few hundred iterations (cf. the
-        // `BENCH_cycles` calibration behind `ShardSelector`), the
-        // reduced rung saves most of them, and the greedy rung is the
-        // bare per-request form. The EMA replaces the seeds within a
-        // couple of cycles.
+        // full solve runs a few hundred iterations (cf.
+        // `BENCH_cycles`), the reduced rung saves most of them, and the
+        // greedy rung is the bare per-request form. The EMA replaces
+        // the seeds within a couple of cycles.
         Self { unit_ns: [9_700.0, 7_000.0, 4_200.0] }
     }
 }
@@ -342,8 +343,8 @@ fn request_key(r: &Request) -> (u32, u32, u64) {
     (r.user.0, r.video.0, r.start.to_bits())
 }
 
-/// Per-cycle service accounting, threaded into the rolling-horizon
-/// [`ServiceReport`] and `vod_experiments`' `CycleReport`.
+/// Per-cycle service accounting, threaded into the [`ServiceReport`]
+/// and `vod_experiments`' `CycleReport`.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServiceCycleStats {
     /// Cycle index (0-based).
@@ -365,6 +366,10 @@ pub struct ServiceCycleStats {
     /// Each shed request is also counted once under `deferred` or
     /// `dropped`, whichever disposition it received.
     pub shed: usize,
+    /// Backoff releases that met a full queue this cycle. Like a shed,
+    /// each is also counted once under `deferred` or `dropped`, so
+    /// `shed + bounced == deferred + dropped`.
+    pub bounced: usize,
     /// Requests re-enqueued into a later cycle with backoff.
     pub deferred: usize,
     /// Requests dropped permanently (drop-after-N exceeded).
@@ -417,6 +422,9 @@ pub struct ServiceCycleOutcome {
     /// Original reservations dropped permanently this cycle
     /// (drop-after-N exceeded).
     pub dropped_now: Vec<Request>,
+    /// Wall-clock of the whole [`ServiceLoop::run_cycle`] call,
+    /// nanoseconds. Reporting only, like `warm.solve_ns`.
+    pub wall_ns: u64,
 }
 
 impl ServiceCycleOutcome {
@@ -447,6 +455,8 @@ pub struct ServiceReport {
     /// Total shed events (a request re-shed after backoff counts once
     /// per shed).
     pub shed_events: usize,
+    /// Total backoff releases that met a full queue.
+    pub bounced: usize,
     /// Total backoff re-enqueues.
     pub deferred_events: usize,
     /// Requests dropped permanently.
@@ -514,12 +524,13 @@ impl ServiceReport {
         let _ = writeln!(
             out,
             "totals: offered {} (rejected {} full / {} saturated), served {}, shed {}, \
-             dropped {}, in flight {}, queue high-water {}",
+             bounced {}, dropped {}, in flight {}, queue high-water {}",
             self.offered,
             self.rejected_full,
             self.rejected_saturated,
             self.served,
             self.shed_events,
+            self.bounced,
             self.dropped,
             self.in_flight,
             self.queue_high_water,
@@ -580,7 +591,7 @@ impl ServiceLoop {
         })
     }
 
-    /// The carried warm state (committed occupancy, caches, selector).
+    /// The carried warm state (committed occupancy, trial cache).
     pub fn warm(&self) -> &WarmState {
         &self.warm
     }
@@ -674,6 +685,7 @@ impl ServiceLoop {
     /// window's batch, pick the ladder rung, solve, repair against the
     /// window's faults, and account everything.
     pub fn run_cycle(&mut self, ctx: &SchedCtx<'_>, mode: ExecMode) -> ServiceCycleOutcome {
+        let cycle_started = std::time::Instant::now();
         let k = self.cycle;
         let t0 = k as f64 * self.cfg.horizon;
         let window_end = (k + 1) as f64 * self.cfg.horizon;
@@ -691,13 +703,14 @@ impl ServiceLoop {
 
         // 1. Release backoff parkings that became eligible. The bound
         //    still applies: a re-enqueue bouncing off a full queue is
-        //    one more failed attempt.
+        //    one more failed attempt, counted as bounced.
         let mut dropped_now: Vec<Request> = Vec::new();
         let due = self.pending.partition_point(|(e, _)| *e <= k);
         let released: Vec<Ticket> = self.pending.drain(..due).map(|(_, t)| t).collect();
         for t in released {
             let full = self.cfg.queue_bound.is_some_and(|b| self.queue.len() >= b);
             if full {
+                stats.bounced += 1;
                 dropped_now.extend(self.defer_or_drop(t, k + 1, &mut stats));
             } else {
                 self.enqueue(t);
@@ -894,6 +907,7 @@ impl ServiceLoop {
                 .u64("admitted", stats.admitted as u64)
                 .u64("served", stats.served as u64)
                 .u64("shed", stats.shed as u64)
+                .u64("bounced", stats.bounced as u64)
                 .u64("deferred", stats.deferred as u64)
                 .u64("dropped", stats.dropped as u64)
                 .u64("delayed", stats.delayed as u64)
@@ -928,6 +942,7 @@ impl ServiceLoop {
             served_originals: survivors.into_iter().map(|(_, o)| o).collect(),
             shed_now,
             dropped_now,
+            wall_ns: cycle_started.elapsed().as_nanos() as u64,
         }
     }
 
@@ -940,6 +955,7 @@ impl ServiceLoop {
             rejected_saturated: sum(|c| c.rejected_saturated) + self.rejected_saturated,
             served: sum(|c| c.served),
             shed_events: sum(|c| c.shed),
+            bounced: sum(|c| c.bounced),
             deferred_events: sum(|c| c.deferred),
             dropped: sum(|c| c.dropped),
             deadline_misses: sum(|c| c.deadline_misses),
@@ -1156,8 +1172,9 @@ mod tests {
         assert!(report.shed_events > 0);
         assert!(report.dropped > 0, "drop-after-1 must drop re-shed requests");
         assert_eq!(report.conservation_error(), 0);
-        // Shed disposition: every shed event became a deferral or a drop.
-        assert_eq!(report.shed_events, report.deferred_events + report.dropped);
+        // Shed disposition: every shed event (and bounced release) became
+        // a deferral or a drop.
+        assert_eq!(report.shed_events + report.bounced, report.deferred_events + report.dropped);
         // Backoff histogram counts exactly the deferred events.
         assert_eq!(report.backoff_histogram.iter().sum::<usize>(), report.deferred_events);
     }

@@ -1,8 +1,9 @@
 //! `vodx` — run the paper's experiments from the command line.
 //!
 //! ```text
-//! vodx <fig5|fig6|fig7|fig8|fig9|table5|gap|bandwidth|cycles|inspect|all>
-//!      [--fast] [--out DIR] [--rpu N]
+//! vodx <fig5|fig6|fig7|fig8|fig9|table5|gap|bandwidth|cycles|service|inspect|all>
+//!      [--fast] [--out DIR] [--rpu N] [--burst N] [--budget-ns B] [--record F]
+//! vodx trace FILE
 //! ```
 //!
 //! Prints each experiment as an aligned text table (the rows the paper
@@ -12,17 +13,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use vod_core::{ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig};
 use vod_cost_model::CostModel;
-use vod_experiments::{
-    cycles, ext, figures, render_csv, render_table, service, table5, EnvParams, Preset,
-};
+use vod_experiments::{ext, figures, render_csv, render_table, service, table5, EnvParams, Preset};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut preset = Preset::Paper;
     let mut out_dir: Option<PathBuf> = None;
     let mut rpu: Option<usize> = None;
-    let mut cold = false;
-    let mut adaptive = false;
     let mut burst: Option<usize> = None;
     let mut budget_ns: Option<f64> = None;
     let mut record: Option<PathBuf> = None;
@@ -32,8 +29,6 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--fast" => preset = Preset::Fast,
-            "--cold" => cold = true,
-            "--adaptive" => adaptive = true,
             "--out" => match it.next() {
                 Some(dir) => out_dir = Some(PathBuf::from(dir)),
                 None => {
@@ -185,16 +180,12 @@ fn main() -> ExitCode {
             "cycles" => {
                 let params = EnvParams::for_preset(preset);
                 let n = if preset == Preset::Fast { 3 } else { 7 };
-                let cfg = cycles::RollingConfig {
-                    use_cold_start: cold,
-                    adaptive,
-                    ..cycles::RollingConfig::default()
-                };
                 let recorder = match &record {
                     Some(_) => vod_obs::Recorder::enabled(),
                     None => vod_obs::Recorder::disabled(),
                 };
-                let r = cycles::rolling_horizon_recorded(&params, n, &cfg, &recorder);
+                let sp = service::ServiceParams::default();
+                let (r, _, _) = service::service_horizon(&params, n, &sp, &recorder);
                 println!("{}", r.render());
                 if let Some(path) = &record {
                     if let Err(e) = write_recording(path, &recorder) {
@@ -223,7 +214,7 @@ fn main() -> ExitCode {
                     Some(_) => vod_obs::Recorder::enabled(),
                     None => vod_obs::Recorder::disabled(),
                 };
-                let (r, report, _) = service::service_horizon_recorded(&params, n, &sp, &recorder);
+                let (r, report, _) = service::service_horizon(&params, n, &sp, &recorder);
                 println!("{}", r.render());
                 println!("{}", report.render());
                 if let Some(path) = &record {
@@ -309,11 +300,12 @@ fn usage() -> &'static str {
      \x20      vodx trace FILE\n\
      \n\
      Reproduces the evaluation of Won & Srivastava (HPDC 1997).\n\
+     cycles   consecutive cycles through the service loop, oracle config\n\
+     \x20        (unbounded intake, no budget, no faults)\n\
+     service  the same loop with a bounded queue, a budget and a burst cycle\n\
      --fast   use reduced grids/workload (smoke run)\n\
      --out D  additionally write CSV/text outputs into directory D\n\
      --rpu N  reservations per user per cycle for table5 (default 2)\n\
-     --cold     cycles: re-solve each cycle from scratch (oracle path)\n\
-     --adaptive cycles: let the warm selector pick the shard count\n\
      --burst N     service: arrival multiplier for the burst cycle (default 4)\n\
      --budget-ns B service: per-cycle deadline budget in simulated ns\n\
      --record F    cycles/service: write a JSONL flight recording to F\n\

@@ -1,31 +1,32 @@
-//! Service-frontend experiments: the rolling-horizon environment driven
-//! through `vod_core::service`'s intake queue, degradation ladder, and
-//! backoff pipeline instead of pre-cut batches.
+//! Service-frontend experiments: the paper's environment driven cycle
+//! after cycle through `vod_core::service`'s intake queue, degradation
+//! ladder, and backoff pipeline.
 //!
-//! [`service_horizon`] is the service-mode twin of
-//! [`crate::cycles::rolling_horizon`]: same topology, catalog, cost
-//! model, and per-cycle workload seeds, but the requests flow through an
-//! arrival trace ([`vod_workload::generate_arrivals`]) into a
-//! [`ServiceLoop`]. With no queue bound, no budget, no burst, and no
-//! faults it reproduces the rolling-horizon schedules bit for bit (the
-//! `service_props` suite asserts this); with them it exercises admission
-//! control, the ladder, and overload shedding under the exact
-//! environment the paper's experiments use.
+//! [`service_horizon`] builds the topology, catalog, cost model and
+//! arrival trace ([`vod_workload::generate_arrivals`]) for an
+//! [`EnvParams`] environment and hands them to [`service_run`], the one
+//! cycle loop. With no queue bound, no budget, no burst, and no faults
+//! it is the plain rolling-horizon run, and its per-cycle Ψ matches the
+//! cold-start reference [`crate::cycles::cold_horizon`] within 1e-9
+//! relative; with them it exercises admission control, the ladder, and
+//! overload shedding under the exact environment the paper's
+//! experiments use.
 
 use crate::cycles::{CycleReport, RollingOutcome};
 use crate::EnvParams;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 use vod_core::{
-    ExecMode, SchedCtx, ServiceConfig, ServiceCycleOutcome, ServiceLoop, ServiceReport,
+    service_run, ExecMode, SchedCtx, ServiceConfig, ServiceCycleOutcome, ServiceReport, ShardConfig,
 };
-use vod_cost_model::CostModel;
-use vod_topology::units;
+use vod_cost_model::{Catalog, CostModel, Secs};
+use vod_topology::Topology;
 use vod_workload::{
-    generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
+    generate_arrivals, generate_catalog, Arrival, ArrivalConfig, CatalogConfig, RequestConfig,
 };
 
 /// Service-frontend knobs layered over an [`EnvParams`] environment.
+/// The default is the oracle configuration: unbounded intake, no
+/// budget, no faults, paper workload, default sharded solver.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ServiceParams {
     /// Intake queue bound (`None` = unbounded).
@@ -43,44 +44,59 @@ pub struct ServiceParams {
     /// whole run). Later cycles run as idle service ticks — they still
     /// appear in the report.
     pub trace_cycles: Option<usize>,
+    /// The sharded-solver configuration every cycle's full solve runs
+    /// under ([`ServiceConfig::shard`]). Its
+    /// [`vod_core::SorpConfig::use_monolithic_solver`] flag selects the
+    /// single-solver oracle exactly as in [`vod_core::shard_solve`].
+    pub shard: ShardConfig,
+    /// Draw each cycle's workload from
+    /// [`vod_workload::generate_regional_requests`] (every video
+    /// requested from a single neighborhood) instead of the paper
+    /// workload ([`ArrivalConfig::regional`]) — the regime in which
+    /// sharded Ψ provably matches the monolith, used by the bench
+    /// oracles.
+    pub regional: bool,
 }
 
 /// The catalog a service horizon run over `params` uses — the same
 /// seed-splitting convention as [`vod_workload::Workload::generate`],
 /// exposed so replay-side validation can reconstruct it exactly.
-pub fn service_catalog(params: &EnvParams) -> vod_cost_model::Catalog {
+pub fn service_catalog(params: &EnvParams) -> Catalog {
     let catalog_cfg = CatalogConfig { videos: params.videos, ..CatalogConfig::paper() };
     generate_catalog(&catalog_cfg, params.seed ^ 0xCA7A_10C0_FFEE_0001)
 }
 
-/// Run `n_cycles` of the environment through the service frontend.
-/// Returns the per-cycle [`RollingOutcome`] (service stats attached to
-/// every [`CycleReport`]) and the aggregated [`ServiceReport`].
+/// The arrival trace of an `n_cycles` run and its cycle length:
+/// cycle `k` draws with seed `params.seed ^ (k + 1)`.
+pub(crate) fn arrival_trace(
+    topo: &Topology,
+    catalog: &Catalog,
+    params: &EnvParams,
+    n_cycles: usize,
+    sp: &ServiceParams,
+) -> (Vec<Arrival>, Secs) {
+    let arrival_cfg = ArrivalConfig {
+        request: RequestConfig {
+            requests_per_user: params.requests_per_user,
+            ..RequestConfig::with_alpha(params.zipf_alpha)
+        },
+        cycles: sp.trace_cycles.map_or(n_cycles, |t| t.min(n_cycles)),
+        regional: sp.regional,
+        burst: sp.burst.clone(),
+    };
+    let horizon = arrival_cfg.request.horizon_hours * 3_600.0;
+    (generate_arrivals(topo, catalog, &arrival_cfg, params.seed), horizon)
+}
+
+/// Run `n_cycles` of the environment through [`service_run`]. Returns
+/// the per-cycle [`RollingOutcome`], the aggregated [`ServiceReport`],
+/// and the raw per-cycle [`ServiceCycleOutcome`]s (schedules,
+/// served/shed request sets) for replay-style validation. `recorder` is
+/// attached to the scheduling context, so every cycle's rung, intake,
+/// warm-start, shard solve, and repair decision lands in the recording,
+/// in simulated time; pass [`vod_obs::Recorder::disabled`] for the
+/// no-op path.
 pub fn service_horizon(
-    params: &EnvParams,
-    n_cycles: usize,
-    sp: &ServiceParams,
-) -> (RollingOutcome, ServiceReport) {
-    let (outcome, report, _) = service_horizon_full(params, n_cycles, sp);
-    (outcome, report)
-}
-
-/// [`service_horizon`] also returning the raw per-cycle
-/// [`ServiceCycleOutcome`]s (schedules, served/shed request sets) for
-/// replay-style validation.
-pub fn service_horizon_full(
-    params: &EnvParams,
-    n_cycles: usize,
-    sp: &ServiceParams,
-) -> (RollingOutcome, ServiceReport, Vec<ServiceCycleOutcome>) {
-    service_horizon_recorded(params, n_cycles, sp, &vod_obs::Recorder::disabled())
-}
-
-/// [`service_horizon_full`] with a telemetry recorder attached to the
-/// scheduling context: every cycle's rung, intake, warm-start, shard
-/// solve, and repair decision lands in the recording, in simulated
-/// time. Pass [`vod_obs::Recorder::disabled`] for the no-op path.
-pub fn service_horizon_recorded(
     params: &EnvParams,
     n_cycles: usize,
     sp: &ServiceParams,
@@ -91,18 +107,7 @@ pub fn service_horizon_recorded(
     let catalog = service_catalog(params);
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog).with_recorder(recorder.clone());
-
-    let arrival_cfg = ArrivalConfig {
-        request: RequestConfig {
-            requests_per_user: params.requests_per_user,
-            ..RequestConfig::with_alpha(params.zipf_alpha)
-        },
-        cycles: sp.trace_cycles.map_or(n_cycles, |t| t.min(n_cycles)),
-        regional: false,
-        burst: sp.burst.clone(),
-    };
-    let arrivals = generate_arrivals(&topo, &catalog, &arrival_cfg, params.seed);
-    let horizon = arrival_cfg.request.horizon_hours * 3_600.0;
+    let (arrivals, horizon) = arrival_trace(&topo, &catalog, params, n_cycles, sp);
 
     let faults = match sp.fault_seed {
         Some(seed) => {
@@ -111,68 +116,43 @@ pub fn service_horizon_recorded(
         None => vod_faults::FaultPlan::empty(),
     };
     let cfg = ServiceConfig {
+        shard: sp.shard.clone(),
         horizon,
         queue_bound: sp.queue_bound,
         budget_ns: sp.budget_ns,
         faults,
         ..ServiceConfig::default()
     };
-    let mut svc =
-        ServiceLoop::new(&topo, cfg).expect("a generated fault plan validates by construction");
-
-    let mut next = 0usize;
-    let mut cycles = Vec::with_capacity(n_cycles);
-    let mut outcomes = Vec::with_capacity(n_cycles);
-    for k in 0..n_cycles {
-        let started = Instant::now();
-        let t0 = k as f64 * horizon;
-        while next < arrivals.len() && arrivals[next].at <= t0 {
-            // Rejections are typed backpressure recorded in the cycle
-            // stats; the driver has nowhere to bounce them to.
-            let _ = svc.offer(arrivals[next].request);
-            next += 1;
-        }
-        let out = svc.run_cycle(&ctx, ExecMode::default());
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        cycles.push(CycleReport {
-            cycle: k,
-            requests: out.served.len(),
-            cost: out.cost,
-            rel_increase: out.rel_increase(),
-            victims: out.victims,
-            spillover_gb: out.warm.spillover_bytes / units::GB,
-            overflow_free: out.overflow_free,
-            wall_ns,
-            warm: out.warm.clone(),
-            service: Some(out.stats.clone()),
-        });
-        outcomes.push(out);
-    }
-    (RollingOutcome { cycles }, svc.finish(), outcomes)
+    let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, n_cycles, ExecMode::default())
+        .expect("a generated fault plan validates by construction");
+    let cycles = outcomes.iter().map(CycleReport::from_outcome).collect();
+    (RollingOutcome { cycles }, report, outcomes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cycles::rolling_horizon;
+    use crate::cycles::cold_horizon;
     use vod_core::Rung;
+    use vod_obs::Recorder;
 
     fn cheap_params() -> EnvParams {
         EnvParams { videos: 50, users_per_neighborhood: 4, ..EnvParams::fast() }
     }
 
     #[test]
-    fn oracle_mode_matches_rolling_horizon_bit_for_bit() {
+    fn oracle_mode_matches_cold_horizon() {
         let params = cheap_params();
-        let rolling = rolling_horizon(&params, 3);
-        let (svc, report) = service_horizon(&params, 3, &ServiceParams::default());
+        let sp = ServiceParams::default();
+        let cold = cold_horizon(&params, 3, &sp);
+        let (svc, report, _) = service_horizon(&params, 3, &sp, &Recorder::disabled());
         assert_eq!(report.conservation_error(), 0);
         assert_eq!(report.shed_events, 0);
-        for (a, b) in svc.cycles.iter().zip(&rolling.cycles) {
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "cycle {} Ψ diverged", a.cycle);
-            assert_eq!(a.victims, b.victims);
+        for (a, b) in svc.cycles.iter().zip(&cold.cycles) {
+            let rel = (a.cost - b.cost).abs() / b.cost.max(1.0);
+            assert!(rel <= 1e-9, "cycle {} Ψ {} vs cold {} (rel {rel:e})", a.cycle, a.cost, b.cost);
             assert_eq!(a.requests, b.requests);
-            assert_eq!(a.service.as_ref().map(|s| s.rung), Some(Rung::Full));
+            assert_eq!(a.service.rung, Rung::Full);
         }
     }
 
@@ -181,7 +161,7 @@ mod tests {
         let params = cheap_params();
         // Arrivals stop after cycle 0; cycles 1–2 are idle service ticks.
         let sp = ServiceParams { trace_cycles: Some(1), ..ServiceParams::default() };
-        let (out, report) = service_horizon(&params, 3, &sp);
+        let (out, report, _) = service_horizon(&params, 3, &sp, &Recorder::disabled());
         assert_eq!(out.cycles[1].requests, 0, "cycle 1 must be idle");
         assert_eq!(report.cycles.len(), 3);
         let text = out.render();
@@ -203,12 +183,11 @@ mod tests {
             burst: vec![(1, 4)],
             ..ServiceParams::default()
         };
-        let (out, report) = service_horizon(&params, 3, &sp);
+        let (out, report, _) = service_horizon(&params, 3, &sp, &Recorder::disabled());
         assert!(report.cycles.iter().any(|c| c.rung != Rung::Full), "budget never engaged");
         assert_eq!(report.conservation_error(), 0);
         for c in &out.cycles {
-            let s = c.service.as_ref().expect("service runs attach stats");
-            assert_eq!(s.cycle, c.cycle);
+            assert_eq!(c.service.cycle, c.cycle);
         }
     }
 }

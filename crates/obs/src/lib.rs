@@ -7,7 +7,7 @@
 //! - a **flight recorder** ([`Recorder`]): typed events stamped in
 //!   *simulated* time, capturing every per-cycle decision the service
 //!   loop makes (rung picks, shed/backoff counts, warm-start stats,
-//!   shard-count selection, SORP trial reuse, repair retries).
+//!   shard solves, SORP trial reuse, repair retries).
 //!
 //! Recordings export to JSONL ([`Recording::to_jsonl`]) and reload
 //! bit-identically ([`Recording::from_jsonl`]); the wire format is
@@ -21,10 +21,7 @@
 //! 1. Event timestamps are simulated seconds (`sim_t`) and cycle
 //!    numbers; wall-clock nanoseconds are an optional side field that
 //!    equality ignores.
-//! 2. Event payloads carry only scheduler state, never clock reads —
-//!    with one documented exception: the adaptive `ShardSelector`
-//!    *feeds on* measured solve nanoseconds, so `shard_observe`
-//!    events faithfully record those machine-dependent inputs.
+//! 2. Event payloads carry only scheduler state, never clock reads.
 //! 3. Floats round-trip by bit pattern (NaN/±inf included) via a
 //!    tagged-string encoding, so a reloaded recording compares equal
 //!    to the live one.

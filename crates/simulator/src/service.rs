@@ -100,7 +100,8 @@ pub fn cycle_is_clean(report: &SimReport) -> bool {
 ///
 /// * conservation: accepted = served + dropped + in-flight;
 /// * rejected offers never exceed offers;
-/// * every shed event received a disposition (deferred or dropped);
+/// * every shed event and every backoff release that bounced off a full
+///   queue received exactly one disposition (deferred or dropped);
 /// * the backoff histogram counts exactly the deferred events;
 /// * per-cycle queue depth never exceeds the recorded high-water mark.
 pub fn check_service_accounting(report: &ServiceReport) -> Vec<String> {
@@ -121,10 +122,10 @@ pub fn check_service_accounting(report: &ServiceReport) -> Vec<String> {
             report.rejected_full, report.rejected_saturated, report.offered
         ));
     }
-    if report.shed_events != report.deferred_events + report.dropped {
+    if report.shed_events + report.bounced != report.deferred_events + report.dropped {
         errors.push(format!(
-            "shed disposition leak: {} shed != {} deferred + {} dropped",
-            report.shed_events, report.deferred_events, report.dropped
+            "shed disposition leak: {} shed + {} bounced != {} deferred + {} dropped",
+            report.shed_events, report.bounced, report.deferred_events, report.dropped
         ));
     }
     let histogram_total: usize = report.backoff_histogram.iter().sum();

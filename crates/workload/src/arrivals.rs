@@ -2,13 +2,14 @@
 //! unrolled into a time-ordered trace of *when each reservation is
 //! offered to the service*, one horizon ahead of its reserved start.
 //!
-//! The rolling-horizon loop consumes pre-cut per-cycle batches; the
-//! service frontend (`vod_core::service`) consumes this stream instead
-//! and cuts its own cycles. With a burst multiplier of 1 everywhere the
-//! stream partitions back into exactly the batches
-//! `vod_experiments::cycles::rolling_horizon` generates — same per-cycle
-//! seeds, same shifted starts — which is what makes the infinite-budget
-//! service run bit-identical to the rolling-horizon oracle.
+//! The service frontend (`vod_core::service`) consumes this stream and
+//! cuts its own cycles; the cold-start reference
+//! (`vod_experiments::cycles::cold_horizon`) cuts the same stream into
+//! per-cycle batches by reservation window. With a burst multiplier of
+//! 1 everywhere the stream partitions back into exactly the batches
+//! [`crate::generate_requests`] draws per cycle — same per-cycle seeds,
+//! same shifted starts — which is what makes the two runs solve the same
+//! batches.
 
 use crate::{generate_regional_requests, generate_requests, RequestConfig};
 use serde::{Deserialize, Serialize};
@@ -59,9 +60,8 @@ impl ArrivalConfig {
 /// Generate a deterministic arrival trace of `cfg.cycles` cycles.
 ///
 /// Cycle `k` draws `base · multiplier(k)` requests per user with seed
-/// `seed ^ (k + 1)` — the rolling-horizon loop's per-cycle seed — then
-/// shifts every reserved start by `k · horizon` into the cycle's
-/// absolute window. A reservation is offered one horizon ahead of its
+/// `seed ^ (k + 1)`, then shifts every reserved start by `k · horizon`
+/// into the cycle's absolute window. A reservation is offered one horizon ahead of its
 /// start (clamped to 0 for the first cycle), and the trace is sorted by
 /// `(at, start, video, user)`.
 pub fn generate_arrivals(
@@ -129,13 +129,13 @@ mod tests {
     }
 
     #[test]
-    fn unit_multiplier_partitions_into_rolling_horizon_batches() {
+    fn unit_multiplier_partitions_into_per_cycle_batches() {
         let (topo, catalog) = setup();
         let cfg = ArrivalConfig { cycles: 2, ..ArrivalConfig::default() };
         let trace = generate_arrivals(&topo, &catalog, &cfg, 9);
         let horizon = 24.0 * 3_600.0;
         for k in 0..2usize {
-            // The batch rolling_horizon builds for cycle k…
+            // The batch generate_requests draws for cycle k…
             let mut expect: Vec<_> =
                 generate_requests(&topo, &catalog, &RequestConfig::paper(), 9 ^ (k as u64 + 1))
                     .iter()

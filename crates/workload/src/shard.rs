@@ -14,7 +14,7 @@
 //!   storages.
 //! * **By time slice** ([`ShardStrategy::ByTimeSlice`]): requests are
 //!   ordered by reservation time and cut into contiguous slices of
-//!   near-equal size — the rolling-horizon decomposition.
+//!   near-equal size — the time decomposition.
 //!
 //! Both strategies are pure functions of `(batch, spec)`: ties (equal
 //! neighborhood loads, equal reservation instants) are broken by a
@@ -89,15 +89,6 @@ pub fn partition_requests(
         ShardStrategy::ByRegion => partition_by_region(topo, batch, spec),
         ShardStrategy::ByTimeSlice => partition_by_time(batch, spec),
     }
-}
-
-/// Number of populated neighborhoods in `batch`: distinct home storages
-/// across its requesting users. This is the hard ceiling on useful
-/// [`ShardStrategy::ByRegion`] shard counts (the partitioner clamps to
-/// it), which is what the adaptive shard-count selector feeds as its
-/// region clamp.
-pub fn populated_regions(topo: &Topology, batch: &RequestBatch) -> usize {
-    batch.iter().map(|r| topo.home_of(r.user)).collect::<std::collections::BTreeSet<_>>().len()
 }
 
 fn partition_by_region(

@@ -60,6 +60,13 @@ cargo run -q --release --offline -p vod-experiments --bin vodx -- service --fast
 cargo run -q --release --offline -p vod-experiments --bin vodx -- trace "$rec" >/dev/null
 rm -f "$rec"
 
+echo "==> cycles run (service loop, oracle config) + record/trace round trip"
+cargo run -q --release --offline -p vod-experiments --bin vodx -- cycles --fast >/dev/null
+rec="$(mktemp /tmp/vod-flight.XXXXXX.jsonl)"
+cargo run -q --release --offline -p vod-experiments --bin vodx -- cycles --fast --record "$rec" >/dev/null
+cargo run -q --release --offline -p vod-experiments --bin vodx -- trace "$rec" >/dev/null
+rm -f "$rec"
+
 echo "==> comparator lint (no panicking partial_cmp in first-party code)"
 # NaN-poisoned sorts panic at runtime; f64::total_cmp is the workspace rule.
 if grep -rn --include='*.rs' -E 'partial_cmp\([^)]*\)\s*\.\s*(unwrap|expect)' \

@@ -125,3 +125,29 @@ fn oracle_config_serves_everything_and_replays_strict() {
         assert!(sim.is_valid(), "cycle {} violations: {:?}", out.stats.cycle, sim.violations);
     }
 }
+
+/// Backoff releases that meet a full queue are deferred or dropped like
+/// a shed, and counted as bounced, so the shed-disposition identity
+/// `shed + bounced == deferred + dropped` holds under a queue bound, a
+/// tight budget and a 4× burst.
+#[test]
+fn bounced_releases_keep_the_accounting_exact() {
+    let (topo, catalog) = world(1997);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
+    let arrivals = generate_arrivals(
+        &topo,
+        &catalog,
+        &ArrivalConfig { cycles: 4, burst: vec![(1, 4)], ..Default::default() },
+        1997,
+    );
+    let cfg = ServiceConfig {
+        queue_bound: Some(300),
+        budget_ns: Some(60.0 * 9_700.0),
+        ..ServiceConfig::default()
+    };
+    let (_, report) = service_run(&ctx, &arrivals, &cfg, 10, ExecMode::Sequential).unwrap();
+    assert!(report.bounced > 0, "no release met a full queue; the check never engaged");
+    let complaints = check_service_accounting(&report);
+    assert!(complaints.is_empty(), "accounting cross-check failed: {complaints:?}");
+}
