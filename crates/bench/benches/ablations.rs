@@ -64,7 +64,7 @@ fn bench(c: &mut Criterion) {
 
     // --- Greedy policy (design-choice ablations) ----------------------
     {
-        use vod_core::{ivsp_solve_with, GreedyPolicy};
+        use vod_core::{ivsp_solve_priced_with, ExecMode, GreedyPolicy};
         let fx = Fixture::paper_baseline();
         let ctx = fx.ctx();
         let mut g = c.benchmark_group("greedy_policy");
@@ -81,9 +81,17 @@ fn bench(c: &mut Criterion) {
         for (name, policy) in policies {
             // Print the cost impact once so `cargo bench` output doubles
             // as the ablation table.
-            let cost = ctx.schedule_cost(&ivsp_solve_with(&ctx, &fx.requests, policy));
+            let cost = ctx.schedule_cost(
+                &ivsp_solve_priced_with(&ctx, &fx.requests, policy, ExecMode::default())
+                    .into_schedule(),
+            );
             println!("greedy_policy/{name}: phase-1 cost = {cost:.0}");
-            g.bench_function(name, |b| b.iter(|| ivsp_solve_with(&ctx, &fx.requests, policy)));
+            g.bench_function(name, |b| {
+                b.iter(|| {
+                    ivsp_solve_priced_with(&ctx, &fx.requests, policy, ExecMode::default())
+                        .into_schedule()
+                })
+            });
         }
         g.finish();
     }

@@ -4,7 +4,7 @@
 //! and 20 cycles.
 //!
 //! Three arms per size: the cold monolithic reference (the original
-//! re-solve-everything loop, through `cold_horizon`), cold sharded at 4
+//! re-solve-everything loop, through `cold_horizon` at one shard), cold sharded at 4
 //! shards (`cold_horizon`), and warm sharded at 4 shards
 //! (`service_horizon`, the service loop in its oracle configuration).
 //! The instance is the sharded solver's exactness regime — regional
@@ -34,11 +34,12 @@ fn params(rpu: usize) -> EnvParams {
     EnvParams { videos: 120, requests_per_user: rpu, ..EnvParams::paper() }
 }
 
+/// `mono` solves each batch unsplit (one shard), else four region shards.
 fn shard_cfg(mono: bool) -> ShardConfig {
     ShardConfig {
+        shards: if mono { 1 } else { 4 },
         sorp: SorpConfig {
             policy: GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() },
-            use_monolithic_solver: mono,
             ..SorpConfig::default()
         },
         ..ShardConfig::default()
@@ -49,7 +50,7 @@ fn shard_cfg(mono: bool) -> ShardConfig {
 const ARMS: [(&str, bool, bool); 3] =
     [("cold_mono", true, false), ("cold_shard4", false, false), ("warm_shard4", false, true)];
 
-/// Run one arm: `mono` picks the monolithic solver, `warm` the service
+/// Run one arm: `mono` picks the unsplit batch, `warm` the service
 /// loop instead of the cold reference.
 fn run_arm(p: &EnvParams, n_cycles: usize, mono: bool, warm: bool) -> RollingOutcome {
     let sp = ServiceParams { shard: shard_cfg(mono), regional: true, ..ServiceParams::default() };

@@ -5,9 +5,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use vod_bench::Fixture;
 use vod_core::{
-    baselines, detect_overflows, find_video_schedule, ivsp_solve, ivsp_solve_priced,
-    ivsp_solve_with_mode, sorp_solve, sorp_solve_priced, ExecMode, GreedyPolicy, SorpConfig,
-    StorageLedger,
+    baselines, detect_overflows, find_video_schedule, ivsp_solve, ivsp_solve_priced_with,
+    sorp_solve, sorp_solve_priced, ExecMode, GreedyPolicy, SorpConfig, StorageLedger,
 };
 use vod_simulator::{simulate, SimOptions};
 use vod_topology::RouteTable;
@@ -27,19 +26,17 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("ivsp_solve_full_batch", |b| b.iter(|| ivsp_solve(&ctx, &fx.requests)));
 
-    // Same phase-1 work under both execution modes (bit-identical output;
-    // the gap is the parallel fan-out overhead or speedup).
-    c.bench_function("ivsp_solve_sequential", |b| {
-        b.iter(|| {
-            ivsp_solve_with_mode(&ctx, &fx.requests, GreedyPolicy::default(), ExecMode::Sequential)
-        })
-    });
-    c.bench_function("ivsp_solve_parallel", |b| {
-        b.iter(|| {
-            ivsp_solve_with_mode(&ctx, &fx.requests, GreedyPolicy::default(), ExecMode::Parallel)
-        })
-    });
-    c.bench_function("ivsp_solve_priced", |b| b.iter(|| ivsp_solve_priced(&ctx, &fx.requests)));
+    // Priced phase 1 (schedule plus per-video cost memo) under both
+    // execution modes: bit-identical output, so the gap is the parallel
+    // fan-out overhead or speedup.
+    for (name, mode) in [
+        ("ivsp_solve_priced_sequential", ExecMode::Sequential),
+        ("ivsp_solve_priced_parallel", ExecMode::Parallel),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| ivsp_solve_priced_with(&ctx, &fx.requests, GreedyPolicy::default(), mode))
+        });
+    }
 
     let phase1 = fx.phase1();
     c.bench_function("ledger_from_schedule", |b| {

@@ -1,6 +1,9 @@
 //! Sharded-scheduler scaling: region-sharded IVSP + SORP with
 //! cross-shard reconciliation against the monolithic pipeline at
-//! 1k / 4k / 16k requests, shards ∈ {1, 4, 8}.
+//! 1k / 4k / 16k requests, shards ∈ {1, 4, 8}, in two arms: the default
+//! [`ExecMode`] (parallel fan-out inside each shard) and
+//! `ExecMode::Sequential`, which keeps algorithmic gains apart from
+//! thread gains. Shards themselves always run one after another.
 //!
 //! The instance is the sharded solver's exactness regime — a regional
 //! catalog (each neighborhood requests only its own slice, see
@@ -11,15 +14,16 @@
 //! at one shard, and a strict simulator replay of the reconciled
 //! schedule at every size.
 //!
-//! Besides the criterion report, a machine-readable summary (median ns,
-//! speedups, conflict and reconciliation counters) is written to
-//! `results/BENCH_shard.json`. In `--test` smoke mode everything runs
+//! Besides the criterion report, a machine-readable summary (median ns
+//! per arm, speedups, conflict and reconciliation counters) is written
+//! to `results/BENCH_shard.json`. In `--test` smoke mode everything runs
 //! once on the smallest size only and the JSON artifact is untouched.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use vod_core::{
-    shard_solve, ExecMode, GreedyPolicy, SchedCtx, ShardConfig, ShardOutcome, SorpConfig,
+    ivsp_solve_priced_with, shard_solve, sorp_solve_priced, ExecMode, GreedyPolicy, SchedCtx,
+    ShardConfig, ShardOutcome, SorpConfig, SorpOutcome, WarmState,
 };
 use vod_cost_model::{CostModel, RequestBatch};
 use vod_simulator::{simulate, SimOptions};
@@ -44,37 +48,52 @@ fn world() -> Topology {
     )
 }
 
-fn shard_cfg(shards: usize, mono: bool) -> ShardConfig {
-    ShardConfig {
-        shards,
-        strategy: ShardStrategy::ByRegion,
-        seed: 0x5EED,
-        sorp: SorpConfig {
-            policy: GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() },
-            use_monolithic_solver: mono,
-            ..SorpConfig::default()
-        },
+fn sorp_cfg() -> SorpConfig {
+    SorpConfig {
+        policy: GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() },
+        ..SorpConfig::default()
     }
 }
 
-fn solve(ctx: &SchedCtx<'_>, batch: &RequestBatch, shards: usize, mono: bool) -> ShardOutcome {
-    shard_solve(ctx, batch, &shard_cfg(shards, mono), ExecMode::default())
+/// One cold sharded solve: a fresh warm state with nothing committed.
+fn solve(ctx: &SchedCtx<'_>, batch: &RequestBatch, shards: usize, mode: ExecMode) -> ShardOutcome {
+    let cfg =
+        ShardConfig { shards, strategy: ShardStrategy::ByRegion, seed: 0x5EED, sorp: sorp_cfg() };
+    shard_solve(ctx, batch, &cfg, &mut WarmState::new(ctx.topo), mode)
 }
 
-/// Median ns per call of `f` over `samples` runs (1 in smoke mode).
-fn measure<F: FnMut()>(mut f: F, samples: usize) -> f64 {
-    let mut ns: Vec<f64> = (0..samples)
-        .map(|_| {
+/// The monolithic pipeline: phase 1 and SORP over the whole batch.
+fn monolith(ctx: &SchedCtx<'_>, batch: &RequestBatch, mode: ExecMode) -> SorpOutcome {
+    let sorp = sorp_cfg();
+    sorp_solve_priced(ctx, ivsp_solve_priced_with(ctx, batch, sorp.policy, mode), &sorp, &[], mode)
+}
+
+/// The timed arms: label and mode.
+const ARMS: [(&str, ExecMode); 2] =
+    [("default", ExecMode::Parallel), ("sequential", ExecMode::Sequential)];
+
+/// Median ns per call of `run(i)` for each `i < configs` over `samples`
+/// rounds (1 in smoke mode). Every round calls each configuration once,
+/// in order, so slow drift of the host hits every configuration alike.
+fn measure_interleaved(configs: usize, samples: usize, run: impl Fn(usize)) -> Vec<f64> {
+    let mut ns = vec![Vec::with_capacity(samples); configs];
+    for _ in 0..samples {
+        for (i, out) in ns.iter_mut().enumerate() {
             let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
+            run(i);
+            out.push(start.elapsed().as_nanos() as f64);
+        }
+    }
+    ns.into_iter()
+        .map(|mut v| {
+            v.sort_by(|a, b| a.total_cmp(b));
+            v[v.len() / 2]
         })
-        .collect();
-    ns.sort_by(|a, b| a.total_cmp(b));
-    ns[ns.len() / 2]
+        .collect()
 }
 
 struct Row {
+    arm: &'static str,
     requests: usize,
     shards: usize,
     sharded_ns: f64,
@@ -95,10 +114,11 @@ fn emit_json(rows: &[Row], smoke: bool) {
     body.push_str("  \"smoke\": false,\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         body.push_str(&format!(
-            "    {{\"requests\": {}, \"shards\": {}, \"sharded_ns\": {:.0}, \
+            "    {{\"arm\": \"{}\", \"requests\": {}, \"shards\": {}, \"sharded_ns\": {:.0}, \
              \"monolithic_ns\": {:.0}, \"speedup\": {:.2}, \"psi_rel_err\": {:.3e}, \
              \"cross_shard_overflows\": {}, \"reconcile_iterations\": {}, \
              \"trials_transplanted\": {}, \"shared_storages\": {}}}{}\n",
+            r.arm,
             r.requests,
             r.shards,
             r.sharded_ns,
@@ -140,25 +160,30 @@ fn bench(c: &mut Criterion) {
         assert_eq!(batch.len(), n);
 
         // --- Contract checks, once per size, outside the timing -------
-        let mono = solve(&ctx, &batch, 1, true);
-        assert!(mono.sorp.overflow_free, "monolithic must resolve at n = {n}");
-        let one = solve(&ctx, &batch, 1, false);
-        assert!(one.sorp.schedule == mono.sorp.schedule, "1 shard diverged at n = {n}");
-        assert_eq!(one.sorp.cost.to_bits(), mono.sorp.cost.to_bits(), "1-shard Ψ bits at n = {n}");
+        let par = ExecMode::Parallel;
+        let mono = monolith(&ctx, &batch, par);
+        assert!(mono.overflow_free, "monolithic must resolve at n = {n}");
+        let one = solve(&ctx, &batch, 1, par);
+        assert!(one.sorp.schedule == mono.schedule, "1 shard diverged at n = {n}");
+        assert_eq!(one.sorp.cost.to_bits(), mono.cost.to_bits(), "1-shard Ψ bits at n = {n}");
         for &shards in &[4usize, 8] {
-            let sharded = solve(&ctx, &batch, shards, false);
+            let sharded = solve(&ctx, &batch, shards, par);
             assert!(sharded.sorp.overflow_free, "{shards} shards left overflows at n = {n}");
             assert_eq!(sharded.split_videos, 0, "regional workload split a video at n = {n}");
-            let rel = (sharded.sorp.cost - mono.sorp.cost).abs() / mono.sorp.cost.abs().max(1.0);
+            let rel = (sharded.sorp.cost - mono.cost).abs() / mono.cost.abs().max(1.0);
             assert!(
                 rel <= 1e-9,
                 "{shards} shards at n = {n}: Ψ {} vs monolithic {} (rel {rel:e})",
                 sharded.sorp.cost,
-                mono.sorp.cost
+                mono.cost
             );
+            // The sequential arm times the very same computation.
+            let seq = solve(&ctx, &batch, shards, ExecMode::Sequential);
+            assert!(seq.sorp.schedule == sharded.sorp.schedule, "modes diverged at n = {n}");
+            assert_eq!(seq.sorp.cost.to_bits(), sharded.sorp.cost.to_bits());
         }
         // Strict replay of the reconciled schedule.
-        let replay = solve(&ctx, &batch, 8, false);
+        let replay = solve(&ctx, &batch, 8, par);
         let report =
             simulate(&topo, &catalog, &model, &replay.sorp.schedule, &SimOptions::strict(&batch));
         assert!(report.is_valid(), "strict replay failed at n = {n}: {:?}", report.violations);
@@ -167,55 +192,56 @@ fn bench(c: &mut Criterion) {
         let samples = if smoke {
             1
         } else if n >= 16_000 {
-            3
+            7
         } else if n >= 4_000 {
-            5
+            11
         } else {
-            9
+            21
         };
-        let mono_ns = measure(
-            || {
-                std::hint::black_box(solve(&ctx, &batch, 1, true).sorp.cost);
-            },
-            samples,
-        );
         if !smoke {
             let mut g = c.benchmark_group(&format!("sharded/{n}"));
             g.sample_size(10);
-            g.bench_function("monolithic", |b| b.iter(|| solve(&ctx, &batch, 1, true)));
-            g.bench_function("shards4", |b| b.iter(|| solve(&ctx, &batch, 4, false)));
+            g.bench_function("monolithic", |b| b.iter(|| monolith(&ctx, &batch, par)));
+            g.bench_function("shards4", |b| b.iter(|| solve(&ctx, &batch, 4, par)));
             g.finish();
         }
-        for &shards in &[1usize, 4, 8] {
-            let out = solve(&ctx, &batch, shards, false);
-            let sharded_ns = measure(
-                || {
-                    std::hint::black_box(solve(&ctx, &batch, shards, false).sorp.cost);
-                },
-                samples,
-            );
-            let rel = (out.sorp.cost - mono.sorp.cost).abs() / mono.sorp.cost.abs().max(1.0);
-            eprintln!(
-                "sharded/{n}/{shards}: {:.1} ms vs monolithic {:.1} ms ({:.2}x), \
-                 {} cross-shard overflows, {} reconcile iterations, {} trials transplanted",
-                sharded_ns / 1e6,
-                mono_ns / 1e6,
-                mono_ns / sharded_ns.max(1e-9),
-                out.cross_shard_overflows,
-                out.reconcile_iterations,
-                out.trials_transplanted,
-            );
-            rows.push(Row {
-                requests: n,
-                shards,
-                sharded_ns,
-                mono_ns,
-                psi_rel_err: rel,
-                cross_shard_overflows: out.cross_shard_overflows,
-                reconcile_iterations: out.reconcile_iterations,
-                trials_transplanted: out.trials_transplanted,
-                shared_storages: out.shared_storages,
+        const SHARDS: [usize; 3] = [1, 4, 8];
+        for (arm, mode) in ARMS {
+            // Configuration 0 is the monolith, then one per shard count.
+            let ns = measure_interleaved(1 + SHARDS.len(), samples, |i| {
+                let cost = match i {
+                    0 => monolith(&ctx, &batch, mode).cost,
+                    _ => solve(&ctx, &batch, SHARDS[i - 1], mode).sorp.cost,
+                };
+                std::hint::black_box(cost);
             });
+            let mono_ns = ns[0];
+            for (&shards, &sharded_ns) in SHARDS.iter().zip(&ns[1..]) {
+                let out = solve(&ctx, &batch, shards, mode);
+                let rel = (out.sorp.cost - mono.cost).abs() / mono.cost.abs().max(1.0);
+                eprintln!(
+                    "sharded/{arm}/{n}/{shards}: {:.1} ms vs monolithic {:.1} ms ({:.2}x), \
+                     {} cross-shard overflows, {} reconcile iterations, {} trials transplanted",
+                    sharded_ns / 1e6,
+                    mono_ns / 1e6,
+                    mono_ns / sharded_ns.max(1e-9),
+                    out.cross_shard_overflows,
+                    out.reconcile_iterations,
+                    out.trials_transplanted,
+                );
+                rows.push(Row {
+                    arm,
+                    requests: n,
+                    shards,
+                    sharded_ns,
+                    mono_ns,
+                    psi_rel_err: rel,
+                    cross_shard_overflows: out.cross_shard_overflows,
+                    reconcile_iterations: out.reconcile_iterations,
+                    trials_transplanted: out.trials_transplanted,
+                    shared_storages: out.shared_storages,
+                });
+            }
         }
     }
 

@@ -34,7 +34,7 @@ use vod_cost_model::{
     Dollars, Request, RequestBatch, Residency, Schedule, Secs, SpaceProfile, Transfer, Video,
     VideoId, VideoSchedule,
 };
-use vod_parallel::{map_with_mode, ExecMode};
+use vod_parallel::parallel_map;
 use vod_topology::{NodeId, Topology};
 
 /// Relative tolerance for treating two candidate costs as equal, letting
@@ -242,60 +242,25 @@ pub fn find_video_schedule(ctx: &SchedCtx<'_>, requests: &[Request]) -> VideoSch
     greedy(ctx, requests, None, GreedyPolicy::default())
 }
 
-/// [`find_video_schedule`] under an explicit [`GreedyPolicy`] (ablations).
-pub fn find_video_schedule_with(
-    ctx: &SchedCtx<'_>,
-    requests: &[Request],
-    policy: GreedyPolicy,
-) -> VideoSchedule {
-    greedy(ctx, requests, None, policy)
-}
-
 /// Phase 1, `IVSP_solve` (paper Algorithm 1): schedule every video group
-/// of the batch independently and take the union.
+/// of the batch independently and take the union. Video groups are
+/// independent (phase 1 is capacity-blind), so they fan out across
+/// cores; results are collected in input (video-id) order, making the
+/// schedule bit-identical to a sequential run. For another
+/// [`GreedyPolicy`] or [`crate::ExecMode`], use
+/// [`crate::ivsp_solve_priced_with`].
 pub fn ivsp_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Schedule {
-    ivsp_solve_with(ctx, batch, GreedyPolicy::default())
-}
-
-/// [`ivsp_solve`] under an explicit [`GreedyPolicy`] (ablations).
-pub fn ivsp_solve_with(ctx: &SchedCtx<'_>, batch: &RequestBatch, policy: GreedyPolicy) -> Schedule {
-    ivsp_solve_with_mode(ctx, batch, policy, ExecMode::default())
-}
-
-/// [`ivsp_solve_with`] under an explicit [`ExecMode`].
-///
-/// Video groups are independent (phase 1 is capacity-blind), so they
-/// fan out across cores; results are collected in input (video-id)
-/// order, making the parallel schedule bit-identical to the sequential
-/// one.
-pub fn ivsp_solve_with_mode(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    policy: GreedyPolicy,
-    mode: ExecMode,
-) -> Schedule {
     let groups: Vec<_> = batch.groups().collect();
-    map_with_mode(mode, &groups, |(_, group)| greedy(ctx, group, None, policy))
-        .into_iter()
-        .collect()
+    parallel_map(&groups, |(_, group)| find_video_schedule(ctx, group)).into_iter().collect()
 }
 
-/// The rejective greedy (paper §4.4): recompute one video's schedule under
-/// capacity and forbidden-placement constraints. Always succeeds — direct
-/// warehouse delivery needs no storage.
+/// The rejective greedy (paper §4.4): recompute one video's schedule
+/// under capacity and forbidden-placement constraints and the given
+/// [`GreedyPolicy`] — SORP trials resolve overflows under the same
+/// policy phase 1 scheduled with (e.g. the neighborhood-local regime
+/// the sharded solver's Ψ-equality contract relies on). Always
+/// succeeds — direct warehouse delivery needs no storage.
 pub fn reschedule_video(
-    ctx: &SchedCtx<'_>,
-    requests: &[Request],
-    constraints: &Constraints<'_>,
-) -> VideoSchedule {
-    reschedule_video_with(ctx, requests, constraints, GreedyPolicy::default())
-}
-
-/// [`reschedule_video`] under an explicit [`GreedyPolicy`], so SORP
-/// trials resolve overflows under the same policy phase 1 scheduled
-/// with (e.g. the neighborhood-local regime the sharded solver's
-/// Ψ-equality contract relies on).
-pub fn reschedule_video_with(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
     constraints: &Constraints<'_>,
@@ -317,15 +282,6 @@ pub fn reschedule_video_traced(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
     constraints: &Constraints<'_>,
-) -> (VideoSchedule, TrialTrace) {
-    reschedule_video_traced_with(ctx, requests, constraints, GreedyPolicy::default())
-}
-
-/// [`reschedule_video_traced`] under an explicit [`GreedyPolicy`].
-pub fn reschedule_video_traced_with(
-    ctx: &SchedCtx<'_>,
-    requests: &[Request],
-    constraints: &Constraints<'_>,
     policy: GreedyPolicy,
 ) -> (VideoSchedule, TrialTrace) {
     let mut cursor = LedgerCursor::tracing();
@@ -333,7 +289,7 @@ pub fn reschedule_video_traced_with(
     (vs, cursor.take_trace())
 }
 
-fn greedy(
+pub(crate) fn greedy(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
     constraints: Option<&Constraints<'_>>,
@@ -650,7 +606,7 @@ mod tests {
             vec![(NodeId(1), Interval::new(0.0, 1e6)), (NodeId(2), Interval::new(0.0, 1e6))];
         let cons =
             Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &forbidden };
-        let vs = reschedule_video(&ctx, &fig2_requests(), &cons);
+        let vs = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
         let cost = ctx.video_cost(&vs);
         assert!((cost - 259.2).abs() < 1e-6, "forbidden caching must force direct: {cost}");
         for r in &vs.residencies {
@@ -669,7 +625,7 @@ mod tests {
         ledger.add(NodeId(1), VideoId(9), full);
         ledger.add(NodeId(2), VideoId(9), full);
         let cons = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &[] };
-        let vs = reschedule_video(&ctx, &fig2_requests(), &cons);
+        let vs = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
         let cost = ctx.video_cost(&vs);
         assert!((cost - 259.2).abs() < 1e-6, "full stores must force direct: {cost}");
     }
@@ -688,7 +644,7 @@ mod tests {
             SpaceProfile::new(0.0, 1e6, units::gb(5.0), units::minutes(90.0)),
         );
         let cons = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &[] };
-        let vs = reschedule_video(&ctx, &fig2_requests(), &cons);
+        let vs = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
         // U1 direct ($64.8); U2 VW→IS1→IS2 caching at IS2 ($97.2); U3 from
         // IS2's copy (storage extension only, $5.625).
         let cost = ctx.video_cost(&vs);
@@ -705,7 +661,7 @@ mod tests {
         let ledger = StorageLedger::new(&topo);
         let cons = Constraints { ledger: &ledger, exclude: None, forbidden: &[] };
         let a = find_video_schedule(&ctx, &fig2_requests());
-        let b = reschedule_video(&ctx, &fig2_requests(), &cons);
+        let b = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
         assert!((ctx.video_cost(&a) - ctx.video_cost(&b)).abs() < 1e-9);
         assert_eq!(a.transfers.len(), b.transfers.len());
     }
@@ -716,7 +672,7 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let policy = GreedyPolicy { allow_new_caches: false, ..Default::default() };
-        let vs = find_video_schedule_with(&ctx, &fig2_requests(), policy);
+        let vs = greedy(&ctx, &fig2_requests(), None, policy);
         assert!(vs.residencies.is_empty());
         // All three direct: the paper's S1 at $259.20.
         assert!((ctx.video_cost(&vs) - 259.2).abs() < 1e-6);
@@ -728,7 +684,7 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let policy = GreedyPolicy { allow_remote_placement: false, ..Default::default() };
-        let vs = find_video_schedule_with(&ctx, &fig2_requests(), policy);
+        let vs = greedy(&ctx, &fig2_requests(), None, policy);
         for r in &vs.residencies {
             let locals: Vec<NodeId> = r.services.iter().map(|s| topo.home_of(s.user)).collect();
             assert!(locals.contains(&r.loc), "cache at {} serves no local user", r.loc);
@@ -757,7 +713,15 @@ mod tests {
             GreedyPolicy { allow_new_caches: false, ..Default::default() },
             GreedyPolicy { allow_remote_placement: false, ..Default::default() },
         ] {
-            let restricted = ctx.schedule_cost(&ivsp_solve_with(&ctx, &wl.requests, policy));
+            let restricted = ctx.schedule_cost(
+                crate::ivsp_solve_priced_with(
+                    &ctx,
+                    &wl.requests,
+                    policy,
+                    crate::ExecMode::default(),
+                )
+                .schedule(),
+            );
             assert!(
                 full <= restricted + 1e-6,
                 "restricted policy {policy:?} beat the full greedy: {restricted} < {full}"
@@ -776,7 +740,7 @@ mod tests {
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let plain = GreedyPolicy { prefer_local_cache_on_ties: false, ..Default::default() };
         let a = ctx.video_cost(&find_video_schedule(&ctx, &fig2_requests()));
-        let b = ctx.video_cost(&find_video_schedule_with(&ctx, &fig2_requests(), plain));
+        let b = ctx.video_cost(&greedy(&ctx, &fig2_requests(), None, plain));
         assert!(a <= b + 1e-6, "default tie-break lost: {a} vs {b}");
     }
 

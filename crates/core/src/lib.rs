@@ -24,6 +24,19 @@
 //!    capacity-aware and forbidden to cache at the overflowing storage
 //!    during the overflow window.
 //!
+//! A production cycle runs both phases through [`shard_solve`], which
+//! partitions the batch, solves each shard against the committed
+//! occupancy and carried trials of a [`WarmState`], and reconciles
+//! cross-shard conflicts; [`ServiceLoop`] drives it cycle after cycle.
+//!
+//! Each layer has one public solve entry point, with options passed as
+//! arguments or config rather than as name variants:
+//! [`find_video_schedule`], [`reschedule_video`] and
+//! [`reschedule_video_traced`] (one video); [`ivsp_solve`],
+//! [`ivsp_solve_priced`] and [`ivsp_solve_priced_with`] (phase 1);
+//! [`PricedSchedule::price`]; [`sorp_solve`] and [`sorp_solve_priced`]
+//! (phase 2); [`shard_solve`] (one cycle).
+//!
 //! The [`baselines`] module provides the paper's comparator (the
 //! *network-only system*) and additional reference policies; the
 //! [`bandwidth`] module implements the paper's stated future-work
@@ -76,9 +89,8 @@ pub use capacity::{
 pub use ctx::SchedCtx;
 pub use exact::{find_optimal_video_schedule, ExactOutcome};
 pub use greedy::{
-    find_video_schedule, find_video_schedule_with, ivsp_solve, ivsp_solve_with,
-    ivsp_solve_with_mode, reschedule_video, reschedule_video_traced, reschedule_video_traced_with,
-    reschedule_video_with, Constraints, GreedyPolicy,
+    find_video_schedule, ivsp_solve, reschedule_video, reschedule_video_traced, Constraints,
+    GreedyPolicy,
 };
 pub use heat::{delta_s, heat_of, improved_period, improvement_window, HeatMetric};
 pub use overflow::{detect_overflows, overflow_set, Interval, Overflow, OverflowMonitor};
@@ -90,12 +102,9 @@ pub use service::{
     service_run, BackoffPolicy, BudgetModel, IntakeError, Rung, ServiceConfig, ServiceCycleOutcome,
     ServiceCycleStats, ServiceLoop, ServiceReport,
 };
-pub use shard::{
-    shard_solve, shard_solve_seeded, shard_solve_warm, ShardConfig, ShardOutcome, ShardStats,
-};
+pub use shard::{shard_solve, ShardConfig, ShardOutcome};
 pub use sorp::{
-    sorp_solve, sorp_solve_priced, sorp_solve_seeded, SorpConfig, SorpOutcome, VictimRecord,
-    EXTERNAL_OCCUPANCY,
+    sorp_solve, sorp_solve_priced, SorpConfig, SorpOutcome, VictimRecord, EXTERNAL_OCCUPANCY,
 };
 pub use timeline::{OccupancyTimeline, Prefix};
 pub use vod_parallel::{map_with_mode, parallel_map, ExecMode};

@@ -14,11 +14,11 @@
 //! participant per iteration, and previously recomputed from scratch
 //! every time.
 
-use crate::greedy::{find_video_schedule_with, GreedyPolicy};
+use crate::greedy::{greedy, GreedyPolicy};
 use crate::SchedCtx;
 use std::collections::HashMap;
 use vod_cost_model::{Dollars, RequestBatch, Schedule, VideoId, VideoSchedule};
-use vod_parallel::{map_with_mode, ExecMode};
+use vod_parallel::{map_with_mode, parallel_map, ExecMode};
 
 /// Relative tolerance for the incremental-vs-closed-form cross-checks.
 /// Delta accumulation drifts by at most a few ulps per commit; 1e-6
@@ -41,16 +41,11 @@ pub struct PricedSchedule {
 
 impl PricedSchedule {
     /// Price every video of `schedule` (in parallel) and take ownership.
+    /// Per-video costs are computed independently and summed in schedule
+    /// order, so the total does not depend on the worker count.
     pub fn price(ctx: &SchedCtx<'_>, schedule: Schedule) -> Self {
-        Self::price_with_mode(ctx, schedule, ExecMode::default())
-    }
-
-    /// [`PricedSchedule::price`] with an explicit execution mode; both
-    /// modes produce bit-identical totals (per-video costs are computed
-    /// independently and summed in schedule order).
-    pub fn price_with_mode(ctx: &SchedCtx<'_>, schedule: Schedule, mode: ExecMode) -> Self {
         let videos: Vec<&VideoSchedule> = schedule.videos().collect();
-        let priced = map_with_mode(mode, &videos, |vs| ctx.video_cost(vs));
+        let priced = parallel_map(&videos, |vs| ctx.video_cost(vs));
         let mut costs = HashMap::with_capacity(videos.len());
         let mut total = 0.0;
         for (vs, cost) in videos.iter().zip(&priced) {
@@ -167,7 +162,10 @@ pub fn ivsp_solve_priced(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> PricedSche
     ivsp_solve_priced_with(ctx, batch, GreedyPolicy::default(), ExecMode::default())
 }
 
-/// [`ivsp_solve_priced`] under an explicit policy and execution mode.
+/// [`ivsp_solve_priced`] under an explicit [`GreedyPolicy`] (ablations,
+/// the sharded solver's per-shard phase 1) and [`ExecMode`]; both modes
+/// give bit-identical output. Take `.into_schedule()` when only the
+/// schedule is needed.
 pub fn ivsp_solve_priced_with(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
@@ -176,7 +174,7 @@ pub fn ivsp_solve_priced_with(
 ) -> PricedSchedule {
     let groups: Vec<_> = batch.groups().collect();
     let pairs = map_with_mode(mode, &groups, |(_, group)| {
-        let vs = find_video_schedule_with(ctx, group, policy);
+        let vs = greedy(ctx, group, None, policy);
         let cost = ctx.video_cost(&vs);
         (vs, cost)
     });

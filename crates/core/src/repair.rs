@@ -23,7 +23,7 @@
 //! heat is its delivered-request count, the popularity proxy) instead
 //! of panicking or silently dropping service.
 
-use crate::greedy::{reschedule_video, Constraints};
+use crate::greedy::{reschedule_video, Constraints, GreedyPolicy};
 use crate::{Interval, PricedSchedule, SchedCtx, StorageLedger};
 use vod_cost_model::{Dollars, Request, Secs, Transfer, VideoId, VideoSchedule};
 use vod_faults::{FaultError, FaultPlan};
@@ -210,7 +210,7 @@ pub fn repair_schedule(
             VideoSchedule::new(vid)
         } else {
             let cons = Constraints { ledger: &ledger, exclude: Some(vid), forbidden: &forbidden };
-            reschedule_video(dctx, &servable, &cons)
+            reschedule_video(dctx, &servable, &cons, GreedyPolicy::default())
         };
 
         for req in bridge_dependent {

@@ -6,7 +6,9 @@
 //! The paper frames VOR as a *service*: requests arrive continuously
 //! ahead of their reserved start times, and the provider must keep
 //! admitting, scheduling, and serving them. [`ServiceLoop`] is that
-//! request-intake layer on top of [`crate::shard_solve_warm`]:
+//! request-intake layer on top of [`crate::shard_solve`], which it
+//! hands its carried [`WarmState`] after opening each cycle with
+//! [`WarmState::begin_cycle`]:
 //!
 //! * arriving requests enter a **bounded intake queue** in
 //!   oldest-deadline-first order, behind a reject-before-enqueue
@@ -38,8 +40,9 @@
 //! on exactly the requests whose reservations fall in its window
 //! ([`vod_cost_model::RequestBatch::new`] normalises request order, so
 //! queue ordering is invisible to the solver). A warm solve of such a
-//! batch equals a cold [`crate::shard_solve_seeded`] against the flat
-//! list of every earlier cycle's residencies within 1e-9 relative Ψ:
+//! batch equals a cold [`crate::shard_solve`] over a fresh
+//! [`WarmState::with_committed`] holding the flat list of every earlier
+//! cycle's residencies, within 1e-9 relative Ψ:
 //! `vod_experiments::cycles::cold_horizon` is that cold reference, and
 //! the `service_props` and `warm_start_props` suites and the
 //! `cycles_warm` bench assert the equivalence per cycle.
@@ -54,8 +57,8 @@
 //! [`BudgetModel::pick`].
 
 use crate::{
-    repair_schedule, shard_solve_warm, PricedSchedule, RepairConfig, SchedCtx, ShardConfig,
-    WarmState, WarmStats,
+    repair_schedule, shard_solve, PricedSchedule, RepairConfig, SchedCtx, ShardConfig, WarmState,
+    WarmStats,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -103,10 +106,17 @@ impl fmt::Display for Rung {
     }
 }
 
-/// Typed backpressure from [`ServiceLoop::offer`]: the request was NOT
+/// Typed rejection from [`ServiceLoop::offer`]: the request was NOT
 /// enqueued and the caller must retry later or give up.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum IntakeError {
+    /// The reserved start is negative or not finite. Such a request is
+    /// malformed rather than early or late, so it is not counted as
+    /// offered.
+    InvalidStart {
+        /// The rejected start.
+        start: Secs,
+    },
     /// The bounded intake queue is at capacity.
     QueueFull {
         /// The configured bound the queue is sitting at.
@@ -126,6 +136,9 @@ pub enum IntakeError {
 impl fmt::Display for IntakeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
+            IntakeError::InvalidStart { start } => {
+                write!(f, "invalid start {start}: must be finite and non-negative")
+            }
             IntakeError::QueueFull { bound } => {
                 write!(f, "intake queue full at its bound of {bound}")
             }
@@ -333,8 +346,9 @@ struct Ticket {
 }
 
 /// Total-order sort key: oldest deadline first, then (video, user) for
-/// determinism. Starts are non-negative, so the bit pattern orders like
-/// the float.
+/// determinism. [`ServiceLoop::offer`] admits only finite non-negative
+/// starts (and `+0.0`, never `-0.0`), so the bit pattern orders like the
+/// float.
 fn ticket_key(t: &Ticket) -> (u64, u32, u32) {
     (t.request.start.to_bits(), t.request.video.0, t.request.user.0)
 }
@@ -616,10 +630,20 @@ impl ServiceLoop {
         self.pending.len()
     }
 
-    /// Offer one arriving request to the intake queue. Rejection is
+    /// Offer one arriving request to the intake queue. A start that is
+    /// negative or not finite is rejected as malformed before anything
+    /// is counted; `-0.0` is taken as `0.0`. Any other rejection is
     /// typed backpressure: the request was not enqueued, and the
     /// rejection is recorded in the next cycle's stats.
-    pub fn offer(&mut self, r: Request) -> Result<(), IntakeError> {
+    pub fn offer(&mut self, mut r: Request) -> Result<(), IntakeError> {
+        // `ticket_key` orders starts by their bit pattern, which matches
+        // the float order only for finite non-negative values.
+        if !(r.start.is_finite() && r.start >= 0.0) {
+            return Err(IntakeError::InvalidStart { start: r.start });
+        }
+        if r.start == 0.0 {
+            r.start = 0.0; // normalises -0.0
+        }
         self.offered += 1;
         if let Some(limit) = self.cfg.saturation_bytes {
             let spillover = self.warm.committed().spillover_at(r.start);
@@ -790,12 +814,12 @@ impl ServiceLoop {
             Rung::GreedyOnly | Rung::Shed => shard_cfg.sorp.max_iterations = 0,
         }
         let solve_started = std::time::Instant::now();
+        self.warm.begin_cycle(ctx, t0);
         let (mut schedule, mut cost, initial_cost, victims, overflow_free, iterations, fallbacks) =
             if batch.is_empty() {
-                self.warm.begin_cycle(ctx, t0);
                 (Schedule::new(), 0.0, 0.0, 0, true, 0, 0)
             } else {
-                let out = shard_solve_warm(ctx, &batch, &shard_cfg, &mut self.warm, t0, mode);
+                let out = shard_solve(ctx, &batch, &shard_cfg, &mut self.warm, mode);
                 (
                     out.sorp.schedule,
                     out.sorp.cost,
@@ -1108,6 +1132,40 @@ mod tests {
         let err = svc.offer(arrivals[0].request).unwrap_err();
         assert!(matches!(err, IntakeError::Saturated { .. }));
         assert_eq!(svc.queue_len(), 0);
+    }
+
+    #[test]
+    fn malformed_starts_are_rejected_before_they_are_counted() {
+        let (topo, catalog) = world(4);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let mut svc = ServiceLoop::new(&topo, ServiceConfig::default()).expect("valid");
+        let base = arrivals_for(&topo, &catalog, 1, 5)[0].request;
+        let at = |start: Secs| Request { start, ..base };
+        for start in [-5.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            match svc.offer(at(start)) {
+                Err(IntakeError::InvalidStart { start: s }) => {
+                    assert_eq!(s.to_bits(), start.to_bits());
+                }
+                other => panic!("start {start} was not rejected: {other:?}"),
+            }
+        }
+        // -0.0 is a valid start at the window origin, stored as +0.0 so
+        // the bit-pattern queue order still matches the float order.
+        for start in [100.0, -0.0, 200.0, 90_000.0] {
+            svc.offer(at(start)).expect("valid start");
+        }
+        assert_eq!(svc.queue_len(), 4);
+        let out = svc.run_cycle(&ctx, ExecMode::Sequential);
+        assert_eq!(out.stats.offered, 4, "rejected starts must not count as offered");
+        let mut starts: Vec<u64> = out.served.iter().map(|r| r.start.to_bits()).collect();
+        starts.sort_unstable();
+        assert_eq!(starts, [0.0f64, 100.0, 200.0].map(f64::to_bits), "cycle 0 drains its window");
+        assert_eq!(svc.queue_len(), 1, "the next window's request waits");
+        svc.run_cycle(&ctx, ExecMode::Sequential);
+        let report = svc.finish();
+        assert_eq!(report.served, 4);
+        assert_eq!(report.conservation_error(), 0);
     }
 
     #[test]

@@ -3,37 +3,42 @@
 //!
 //! One scheduling cycle's batch is partitioned into shards
 //! ([`vod_workload::partition_requests`]) that each run the full
-//! two-phase pipeline — IVSP then conflict-scoped SORP — concurrently,
-//! followed by a deterministic **reconciliation pass**:
+//! two-phase pipeline — IVSP then conflict-scoped SORP — one after
+//! another against the same [`WarmState`], followed by a deterministic
+//! **reconciliation pass**:
 //!
 //! 1. the per-shard [`PricedSchedule`]s merge without recomputation
 //!    ([`PricedSchedule::merge`]: Ψ is additive over transfers and
 //!    residencies);
 //! 2. a fresh global [`SolveState`] is built over the merged schedule
 //!    and seeded with one [`crate::LedgerDelta`] covering every merged
-//!    residency footprint, so transplanted trial-cache entries
-//!    (epoch 0) lazily re-validate against the occupancy the *other*
-//!    shards contributed — the PR-4 conflict-detection machinery reused
-//!    across shard boundaries;
+//!    residency footprint and the committed occupancy, so transplanted
+//!    trial-cache entries (epoch 0) lazily re-validate against the
+//!    occupancy the *other* shards contributed — the PR-4
+//!    conflict-detection machinery reused across shard boundaries;
 //! 3. cross-shard capacity overflows (storages individually feasible
 //!    per shard but jointly over capacity) are detected by the standard
 //!    scan and resolved by one bounded global SORP pass whose victim
 //!    loop starts from the per-shard outcomes: surviving trials replay
 //!    instead of re-running the greedy, and per-shard bans carry over.
 //!
+//! [`shard_solve`] is the one sharded entry point. The service loop
+//! hands it its carried [`WarmState`]; a cold caller hands it a fresh
+//! [`WarmState::with_committed`] built from a flat occupancy list.
+//!
 //! ## Determinism and equivalence contract
 //!
-//! * The partition is a pure function of `(batch, spec)`; per-shard
-//!   solves run under [`ExecMode::inner`] (always sequential) and the
-//!   global pass reduces sequentially in job order — so the sharded
-//!   output is **bit-identical across runs** in both [`ExecMode`]s, and
+//! * The partition is a pure function of `(batch, spec)`; shards run in
+//!   sequence, each under the caller's [`ExecMode`], and the global pass
+//!   reduces sequentially in job order — so the sharded output is
+//!   **bit-identical across runs** in both [`ExecMode`]s, and
 //!   `shards = 1` (or a 1-region batch) takes the monolithic code path
-//!   exactly, producing bit-identical output to [`sorp_solve_priced`].
+//!   exactly, producing bit-identical output to [`crate::sorp_solve_priced`].
 //! * Reconciliation guarantees **feasibility**: every request served,
 //!   no overflow, for any shard count, strategy, or policy.
 //! * **Ψ-equality with the monolith** additionally holds in the
 //!   *regional regime*: [`ShardStrategy::ByRegion`] partitioning, a
-//!   neighborhood-local [`GreedyPolicy`] (`allow_remote_placement =
+//!   neighborhood-local [`crate::GreedyPolicy`] (`allow_remote_placement =
 //!   false`), and a workload in which each video is requested from one
 //!   neighborhood only ([`vod_workload::generate_regional_requests`]).
 //!   There the shards touch disjoint storages and videos, commits
@@ -43,9 +48,10 @@
 //!   a split video across regions in ways no shard sees, so only
 //!   feasibility — not Ψ-equality — is promised.
 //!
-//! The monolithic pipeline stays available behind
-//! [`SorpConfig::use_monolithic_solver`] as the equivalence oracle,
-//! following the reference-ledger / uncached-solver discipline.
+//! The equivalence oracle is the separate monolithic pipeline,
+//! [`crate::sorp_solve_priced`] over [`crate::ivsp_solve_priced_with`]
+//! on the whole batch; the tests compare against it, following the
+//! reference-ledger / uncached-solver discipline.
 
 use crate::sorp::SolveState;
 use crate::warm::WarmState;
@@ -54,8 +60,8 @@ use crate::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use vod_cost_model::{Dollars, RequestBatch, Secs, SpaceProfile, VideoId};
-use vod_parallel::{map_with_mode, ExecMode};
+use vod_cost_model::{RequestBatch, VideoId};
+use vod_parallel::ExecMode;
 use vod_topology::NodeId;
 use vod_workload::{partition_requests, ShardSpec, ShardStrategy};
 
@@ -95,23 +101,6 @@ impl ShardConfig {
     }
 }
 
-/// Per-shard diagnostics, in shard order.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ShardStats {
-    /// Requests assigned to this shard.
-    pub requests: usize,
-    /// Distinct videos in the shard's schedule.
-    pub videos: usize,
-    /// Phase-1 Ψ of the shard.
-    pub initial_cost: Dollars,
-    /// Ψ after the shard's own resolution pass.
-    pub resolved_cost: Dollars,
-    /// Resolution iterations the shard ran.
-    pub iterations: usize,
-    /// Victims the shard committed.
-    pub victims: usize,
-}
-
 /// Result of [`shard_solve`]: the reconciled [`SorpOutcome`] plus
 /// shard-level diagnostics.
 #[derive(Clone, Debug)]
@@ -121,11 +110,8 @@ pub struct ShardOutcome {
     /// `victims`, `forced_fallbacks`, and the trial counters cover the
     /// per-shard passes *and* the global pass.
     pub sorp: SorpOutcome,
-    /// Effective shard count after clamping (1 for the monolithic
-    /// oracle).
+    /// Effective shard count after clamping (1 for an unsplit batch).
     pub shards: usize,
-    /// Per-shard diagnostics (empty for the monolithic oracle).
-    pub per_shard: Vec<ShardStats>,
     /// Videos whose requests landed in more than one shard.
     pub split_videos: usize,
     /// Storages holding residencies from more than one shard.
@@ -170,90 +156,108 @@ impl ShardOutcome {
     }
 }
 
-/// Solve one cycle's batch with the sharded two-phase pipeline.
+/// Solve one cycle's batch with the sharded two-phase pipeline against
+/// `warm`'s committed occupancy and carried trials, updating `warm` in
+/// place for the next cycle. The caller opens the cycle first
+/// ([`WarmState::begin_cycle`]); a cold caller passes a fresh
+/// [`WarmState::with_committed`] holding its flat occupancy list.
+///
+/// Shards are prepared and resolved one after another (the warm state
+/// is one mutable resource), each under the caller's `mode`; by the
+/// [`vod_parallel::map_with_mode`] order-preservation contract the
+/// output is bit-identical in both [`ExecMode`]s. Every per-shard and
+/// global solve starts from `warm`, in the two ways the [`crate::warm`]
+/// module docs argue are equivalence-preserving:
+///
+/// * its ledger is a clone of the committed ledger with the shard's
+///   schedule laid on top;
+/// * carried trials adopt at epoch 0 behind a first delta that unions
+///   the previous cycle's final ledger footprint with the new state's
+///   own, so the standard lazy validation answers every cross-cycle
+///   staleness question before an entry is reused.
+///
+/// Panics if `cfg.sorp` asks for the reference ledger: every solve
+/// here builds on the committed timeline ledger.
 pub fn shard_solve(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
     cfg: &ShardConfig,
+    warm: &mut WarmState,
     mode: ExecMode,
 ) -> ShardOutcome {
-    shard_solve_seeded(ctx, batch, cfg, &[], mode)
-}
-
-/// [`shard_solve`] with immutable external occupancy (the rolling-horizon
-/// seed, as in [`crate::sorp_solve_seeded`]). Every shard's ledger and
-/// the merged ledger all carry the external occupancy; it can never be
-/// victimised.
-pub fn shard_solve_seeded(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    cfg: &ShardConfig,
-    external: &[(NodeId, SpaceProfile)],
-    mode: ExecMode,
-) -> ShardOutcome {
-    let out = shard_solve_seeded_inner(ctx, batch, cfg, external, mode);
+    assert!(!cfg.sorp.use_reference_ledger, "shard_solve runs the timeline ledger only");
+    let out = solve(ctx, batch, cfg, warm, mode);
     out.record(&ctx.recorder, batch.len());
     out
 }
 
-fn shard_solve_seeded_inner(
+fn solve(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
     cfg: &ShardConfig,
-    external: &[(NodeId, SpaceProfile)],
+    warm: &mut WarmState,
     mode: ExecMode,
 ) -> ShardOutcome {
-    if cfg.sorp.use_monolithic_solver {
-        return monolithic(ctx, batch, cfg, external, mode);
-    }
-
     let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
     let batches = partition_requests(ctx.topo, batch, &spec);
+    warm.stats.shards_used = batches.len();
 
-    // Per-shard pipeline: IVSP then a full resolution pass, each under
-    // the inner (sequential) mode — the fan-out across shards is where
-    // this call's parallelism lives.
-    let states = map_with_mode(mode, &batches, |shard_batch| {
-        let priced = ivsp_solve_priced_with(ctx, shard_batch, cfg.sorp.policy, mode.inner());
-        let mut state = SolveState::new(ctx, priced, &cfg.sorp, external);
-        state.resolve(ctx, &cfg.sorp, mode.inner());
-        state
-    });
+    let mut states = Vec::with_capacity(batches.len());
+    for shard_batch in &batches {
+        let priced = ivsp_solve_priced_with(ctx, shard_batch, cfg.sorp.policy, mode);
+        let mut state = SolveState::new_with_base(ctx, priced, warm.committed().ledger().clone());
+        let trials = warm.take_matching_trials(shard_batch);
+        warm.seed_state(&mut state, trials);
+        state.resolve(ctx, &cfg.sorp, mode);
+        states.push(state);
+    }
 
-    let per_shard: Vec<ShardStats> = batches
-        .iter()
-        .zip(&states)
-        .map(|(b, s)| ShardStats {
-            requests: b.len(),
-            videos: s.priced.schedule().videos().count(),
-            initial_cost: s.initial_cost,
-            resolved_cost: s.priced.total(),
-            iterations: s.iterations,
-            victims: s.victims.len(),
-        })
-        .collect();
-
-    // One shard is the monolithic pipeline verbatim: reuse the shard's
-    // state (and its delta-accumulated running total) so the output is
-    // bit-identical to `sorp_solve_priced` on the whole batch. The array
-    // pattern proves the shard exists — no panic path.
-    let states = match <[SolveState; 1]>::try_from(states) {
-        Ok([state]) => {
-            return ShardOutcome {
-                sorp: state.into_outcome(ctx),
-                shards: 1,
-                per_shard,
-                split_videos: 0,
-                shared_storages: 0,
-                cross_shard_overflows: 0,
-                reconcile_iterations: 0,
-                reconcile_victims: 0,
-                trials_transplanted: 0,
-            };
-        }
-        Err(states) => states,
+    // One shard is the monolithic pipeline verbatim: its state (and its
+    // delta-accumulated running total) is the outcome, bit-identical to
+    // `sorp_solve_priced` on the whole batch. The array pattern proves
+    // the shard exists — no panic path.
+    let shards = states.len();
+    let mut cross = CrossShard::default();
+    let mut global = match <[SolveState; 1]>::try_from(states) {
+        Ok([state]) => state,
+        Err(states) => reconcile(ctx, cfg, warm, states, &mut cross, mode),
     };
+    warm.harvest(&mut global);
+    let sorp = global.into_outcome(ctx);
+    warm.absorb_schedule(ctx, &sorp.schedule);
+    ShardOutcome {
+        sorp,
+        shards,
+        split_videos: cross.split_videos,
+        shared_storages: cross.shared_storages,
+        cross_shard_overflows: cross.overflows,
+        reconcile_iterations: cross.iterations,
+        reconcile_victims: cross.victims,
+        trials_transplanted: cross.transplanted,
+    }
+}
 
+/// The reconciliation pass's diagnostics (all zero at one shard).
+#[derive(Default)]
+struct CrossShard {
+    split_videos: usize,
+    shared_storages: usize,
+    overflows: usize,
+    iterations: usize,
+    victims: usize,
+    transplanted: usize,
+}
+
+/// Merge the resolved shard states into one global state and run the
+/// reconciliation pass on it, filling `out`.
+fn reconcile(
+    ctx: &SchedCtx<'_>,
+    cfg: &ShardConfig,
+    warm: &WarmState,
+    states: Vec<SolveState>,
+    out: &mut CrossShard,
+    mode: ExecMode,
+) -> SolveState {
     // Which videos landed in several shards, and which storages hold
     // residencies from several shards — both straight off the per-shard
     // schedules, before any merging.
@@ -269,225 +273,11 @@ fn shard_solve_seeded_inner(
     }
     let split: BTreeSet<VideoId> =
         video_shards.iter().filter(|&(_, &n)| n > 1).map(|(&v, _)| v).collect();
-    let shared_storages = storage_shards.values().filter(|s| s.len() > 1).count();
+    out.split_videos = split.len();
+    out.shared_storages = storage_shards.values().filter(|s| s.len() > 1).count();
 
     // Tear the shard states apart: schedules merge, caches and bans
     // transplant, counters aggregate.
-    let mut parts = Vec::with_capacity(states.len());
-    let mut handovers = Vec::with_capacity(states.len());
-    let mut initial_cost = 0.0;
-    let mut iterations = 0;
-    let mut forced_fallbacks = 0;
-    let mut trials_run = 0;
-    let mut trials_cached = 0;
-    let mut nodes_rescanned = 0;
-    let mut victims = Vec::new();
-    for mut s in states {
-        initial_cost += s.initial_cost;
-        iterations += s.iterations;
-        forced_fallbacks += s.forced_fallbacks;
-        trials_run += s.trials_run;
-        trials_cached += s.trials_cached;
-        nodes_rescanned += s.nodes_rescanned;
-        victims.append(&mut s.victims);
-        // A split video's per-shard request set is a strict subset of
-        // its global one, so its memoized trials violate the cache's
-        // request-invariance assumption in the merged state: drop them.
-        // Unsplit videos' entries carry over and re-validate lazily.
-        s.cache.retain(|vid, _| !split.contains(vid));
-        handovers.push((s.cache, s.forbidden));
-        parts.push(s.priced);
-    }
-
-    let merged = PricedSchedule::merge(parts);
-    let mut global = SolveState::new(ctx, merged, &cfg.sorp, external);
-
-    // One delta covering every merged residency footprint (plus the
-    // external occupancy): transplanted entries re-validate against it
-    // on first lookup, which is exactly "did any *other* shard's
-    // occupancy flip one of my recorded admission answers?".
-    let mut cross = crate::LedgerDelta::new();
-    for vs in global.priced.schedule().videos() {
-        for r in &vs.residencies {
-            let p = r.profile(ctx.catalog.get(r.video));
-            cross.record(r.loc, p.start, p.end);
-        }
-    }
-    for (loc, p) in external {
-        cross.record(*loc, p.start, p.end);
-    }
-    global.deltas = vec![cross];
-
-    let mut trials_transplanted = 0;
-    for (cache, forbidden) in handovers {
-        trials_transplanted += global.adopt(cache, forbidden);
-    }
-
-    let cross_shard_overflows = detect_overflows(ctx.topo, &global.ledger).len();
-
-    // Seed the aggregate counters so the final outcome reports totals
-    // across every pass; `resolve` budgets `max_iterations` *on top of*
-    // the seeded count, so the global pass gets its own full budget.
-    global.initial_cost = initial_cost;
-    global.iterations = iterations;
-    global.forced_fallbacks = forced_fallbacks;
-    global.trials_run = trials_run;
-    global.trials_cached = trials_cached;
-    global.nodes_rescanned = nodes_rescanned;
-    global.victims = victims;
-
-    let victims_before = global.victims.len();
-    let iters_before = global.iterations;
-    global.resolve(ctx, &cfg.sorp, mode);
-    let reconcile_iterations = global.iterations - iters_before;
-    let reconcile_victims = global.victims.len() - victims_before;
-
-    ShardOutcome {
-        sorp: global.into_outcome(ctx),
-        shards: per_shard.len(),
-        per_shard,
-        split_videos: split.len(),
-        shared_storages,
-        cross_shard_overflows,
-        reconcile_iterations,
-        reconcile_victims,
-        trials_transplanted,
-    }
-}
-
-/// [`shard_solve_seeded`] with a cross-cycle warm start: committed
-/// occupancy and carried trial-cache entries come from `warm` (updated
-/// in place for the next cycle) instead of a flat external profile list
-/// and a cold cache. `window_start` is the new cycle's window origin:
-/// [`WarmState::begin_cycle`] first evicts everything fully drained
-/// before it.
-///
-/// Structure mirrors [`shard_solve_seeded`] exactly — same partition,
-/// same per-shard pipeline ([`ivsp_solve_priced_with`] then SORP), same
-/// reconciliation — with two warm substitutions, each argued
-/// equivalence-preserving in the [`crate::warm`] module docs:
-///
-/// * every [`SolveState`] starts from a clone of the incrementally
-///   maintained committed ledger ([`SolveState::new_with_base`]) instead
-///   of re-adding the external list;
-/// * carried trials adopt at epoch 0 behind a first delta that unions
-///   the previous cycle's final ledger footprint with the new state's
-///   own — so the standard lazy validation answers every cross-cycle
-///   staleness question before an entry is reused.
-///
-/// Shards are prepared and resolved in sequence (the warm state is one
-/// mutable resource); each shard's greedy fan-out and resolution pass
-/// run under the caller's full `mode`, which per the [`map_with_mode`]
-/// order-preservation contract leaves outputs bit-identical to the cold
-/// sharded pipeline's `inner`-mode passes.
-pub fn shard_solve_warm(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    cfg: &ShardConfig,
-    warm: &mut WarmState,
-    window_start: Secs,
-    mode: ExecMode,
-) -> ShardOutcome {
-    let out = shard_solve_warm_inner(ctx, batch, cfg, warm, window_start, mode);
-    out.record(&ctx.recorder, batch.len());
-    out
-}
-
-fn shard_solve_warm_inner(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    cfg: &ShardConfig,
-    warm: &mut WarmState,
-    window_start: Secs,
-    mode: ExecMode,
-) -> ShardOutcome {
-    warm.begin_cycle(ctx, window_start);
-    warm.stats.shards_used = 1;
-
-    if cfg.sorp.use_monolithic_solver {
-        let priced = ivsp_solve_priced_with(ctx, batch, cfg.sorp.policy, mode);
-        let mut state = SolveState::new_with_base(ctx, priced, warm.committed().ledger().clone());
-        let trials = warm.take_matching_trials(batch);
-        warm.seed_state(&mut state, trials);
-        state.resolve(ctx, &cfg.sorp, mode);
-        warm.harvest(&mut state);
-        let sorp = state.into_outcome(ctx);
-        warm.absorb_schedule(ctx, &sorp.schedule);
-        return ShardOutcome {
-            sorp,
-            shards: 1,
-            per_shard: Vec::new(),
-            split_videos: 0,
-            shared_storages: 0,
-            cross_shard_overflows: 0,
-            reconcile_iterations: 0,
-            reconcile_victims: 0,
-            trials_transplanted: 0,
-        };
-    }
-
-    let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
-    let batches = partition_requests(ctx.topo, batch, &spec);
-
-    let mut states = Vec::with_capacity(batches.len());
-    for shard_batch in &batches {
-        let priced = ivsp_solve_priced_with(ctx, shard_batch, cfg.sorp.policy, mode);
-        let mut state = SolveState::new_with_base(ctx, priced, warm.committed().ledger().clone());
-        let trials = warm.take_matching_trials(shard_batch);
-        warm.seed_state(&mut state, trials);
-        state.resolve(ctx, &cfg.sorp, mode);
-        states.push(state);
-    }
-
-    let per_shard: Vec<ShardStats> = batches
-        .iter()
-        .zip(&states)
-        .map(|(b, s)| ShardStats {
-            requests: b.len(),
-            videos: s.priced.schedule().videos().count(),
-            initial_cost: s.initial_cost,
-            resolved_cost: s.priced.total(),
-            iterations: s.iterations,
-            victims: s.victims.len(),
-        })
-        .collect();
-
-    // As in the cold path: the array pattern proves the single shard
-    // exists, so there is no panic path.
-    let states = match <[SolveState; 1]>::try_from(states) {
-        Ok([mut state]) => {
-            warm.harvest(&mut state);
-            let sorp = state.into_outcome(ctx);
-            warm.absorb_schedule(ctx, &sorp.schedule);
-            return ShardOutcome {
-                sorp,
-                shards: 1,
-                per_shard,
-                split_videos: 0,
-                shared_storages: 0,
-                cross_shard_overflows: 0,
-                reconcile_iterations: 0,
-                reconcile_victims: 0,
-                trials_transplanted: 0,
-            };
-        }
-        Err(states) => states,
-    };
-
-    let mut video_shards: BTreeMap<VideoId, usize> = BTreeMap::new();
-    let mut storage_shards: BTreeMap<NodeId, BTreeSet<usize>> = BTreeMap::new();
-    for (si, s) in states.iter().enumerate() {
-        for vs in s.priced.schedule().videos() {
-            *video_shards.entry(vs.video).or_insert(0) += 1;
-            for r in &vs.residencies {
-                storage_shards.entry(r.loc).or_default().insert(si);
-            }
-        }
-    }
-    let split: BTreeSet<VideoId> =
-        video_shards.iter().filter(|&(_, &n)| n > 1).map(|(&v, _)| v).collect();
-    let shared_storages = storage_shards.values().filter(|s| s.len() > 1).count();
-
     let mut parts = Vec::with_capacity(states.len());
     let mut handovers = Vec::with_capacity(states.len());
     let mut initial_cost = 0.0;
@@ -507,6 +297,10 @@ fn shard_solve_warm_inner(
         nodes_rescanned += s.nodes_rescanned;
         carried_revalidated += s.carried_revalidated;
         victims.append(&mut s.victims);
+        // A split video's per-shard request set is a strict subset of
+        // its global one, so its memoized trials violate the cache's
+        // request-invariance assumption in the merged state: drop them.
+        // Unsplit videos' entries carry over and re-validate lazily.
         s.cache.retain(|vid, _| !split.contains(vid));
         handovers.push((s.cache, s.forbidden));
         parts.push(s.priced);
@@ -516,22 +310,24 @@ fn shard_solve_warm_inner(
     let mut global = SolveState::new_with_base(ctx, merged, warm.committed().ledger().clone());
 
     // The cross-shard validation delta: the global ledger's full
-    // footprint (merged residencies *and* committed occupancy — a
-    // superset of the cold path's delta, safe in the conservative
-    // direction) unioned with the previous cycle's final footprint, so
-    // carried entries that were never consulted during their shard's
-    // pass still answer the cross-cycle staleness question here.
+    // footprint (merged residencies and committed occupancy) unioned
+    // with the previous cycle's final footprint. Transplanted entries
+    // re-validate against it on first lookup, which is exactly "did any
+    // *other* shard's occupancy, or the previous cycle's, flip one of my
+    // recorded admission answers?".
     let mut cross = global.ledger.span_delta();
     cross.merge(&warm.dirty);
     global.deltas = vec![cross];
 
-    let mut trials_transplanted = 0;
     for (cache, forbidden) in handovers {
-        trials_transplanted += global.adopt(cache, forbidden);
+        out.transplanted += global.adopt(cache, forbidden);
     }
 
-    let cross_shard_overflows = detect_overflows(ctx.topo, &global.ledger).len();
+    out.overflows = detect_overflows(ctx.topo, &global.ledger).len();
 
+    // Seed the aggregate counters so the final outcome reports totals
+    // across every pass; `resolve` budgets `max_iterations` *on top of*
+    // the seeded count, so the global pass gets its own full budget.
     global.initial_cost = initial_cost;
     global.iterations = iterations;
     global.forced_fallbacks = forced_fallbacks;
@@ -544,57 +340,16 @@ fn shard_solve_warm_inner(
     let victims_before = global.victims.len();
     let iters_before = global.iterations;
     global.resolve(ctx, &cfg.sorp, mode);
-    let reconcile_iterations = global.iterations - iters_before;
-    let reconcile_victims = global.victims.len() - victims_before;
-
-    warm.harvest(&mut global);
-    warm.stats.shards_used = per_shard.len();
-    let sorp = global.into_outcome(ctx);
-    warm.absorb_schedule(ctx, &sorp.schedule);
-
-    ShardOutcome {
-        sorp,
-        shards: per_shard.len(),
-        per_shard,
-        split_videos: split.len(),
-        shared_storages,
-        cross_shard_overflows,
-        reconcile_iterations,
-        reconcile_victims,
-        trials_transplanted,
-    }
-}
-
-/// The monolithic oracle: the whole batch through IVSP + SORP under the
-/// same policy and mode, wrapped in a [`ShardOutcome`].
-fn monolithic(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    cfg: &ShardConfig,
-    external: &[(NodeId, SpaceProfile)],
-    mode: ExecMode,
-) -> ShardOutcome {
-    let priced = ivsp_solve_priced_with(ctx, batch, cfg.sorp.policy, mode);
-    let mut state = SolveState::new(ctx, priced, &cfg.sorp, external);
-    state.resolve(ctx, &cfg.sorp, mode);
-    ShardOutcome {
-        sorp: state.into_outcome(ctx),
-        shards: 1,
-        per_shard: Vec::new(),
-        split_videos: 0,
-        shared_storages: 0,
-        cross_shard_overflows: 0,
-        reconcile_iterations: 0,
-        reconcile_victims: 0,
-        trials_transplanted: 0,
-    }
+    out.iterations = global.iterations - iters_before;
+    out.victims = global.victims.len() - victims_before;
+    global
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{GreedyPolicy, StorageLedger};
-    use vod_cost_model::CostModel;
+    use vod_cost_model::{CostModel, Dollars, SpaceProfile};
     use vod_topology::builders::{self, PaperFig4Config};
     use vod_workload::{generate_regional_requests, CatalogConfig, RequestConfig, Workload};
 
@@ -609,6 +364,13 @@ mod tests {
         GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() }
     }
 
+    /// The separate monolithic pipeline the sharded path is checked
+    /// against: phase 1 and SORP over the whole batch, nothing committed.
+    fn monolith(ctx: &SchedCtx<'_>, batch: &RequestBatch, sorp: &SorpConfig) -> SorpOutcome {
+        let priced = ivsp_solve_priced_with(ctx, batch, sorp.policy, ExecMode::Sequential);
+        crate::sorp_solve_priced(ctx, priced, sorp, &[], ExecMode::Sequential)
+    }
+
     #[test]
     fn sharded_schedule_is_feasible_for_any_strategy() {
         for strategy in [ShardStrategy::ByRegion, ShardStrategy::ByTimeSlice] {
@@ -616,7 +378,13 @@ mod tests {
             let model = CostModel::per_hop();
             let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
             let cfg = ShardConfig { shards: 4, strategy, ..ShardConfig::default() };
-            let out = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
+            let out = shard_solve(
+                &ctx,
+                &wl.requests,
+                &cfg,
+                &mut WarmState::new(&topo),
+                ExecMode::Sequential,
+            );
             assert!(out.sorp.overflow_free, "{strategy:?} left overflows");
             assert_eq!(out.sorp.schedule.delivery_count(), wl.requests.len());
             // Re-derive the ledger from scratch: no overflow survives.
@@ -631,16 +399,27 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let cfg = ShardConfig { shards: 1, ..ShardConfig::default() };
-        let sharded = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
-        let mono_cfg = ShardConfig {
-            sorp: SorpConfig { use_monolithic_solver: true, ..SorpConfig::default() },
-            ..cfg
+        let sharded =
+            shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), ExecMode::Sequential);
+        let mono = monolith(&ctx, &wl.requests, &cfg.sorp);
+        assert!(sharded.sorp.schedule == mono.schedule);
+        assert_eq!(sharded.sorp.cost.to_bits(), mono.cost.to_bits());
+        assert_eq!(sharded.sorp.iterations, mono.iterations);
+        assert_eq!(sharded.sorp.victims.len(), mono.victims.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "timeline ledger only")]
+    fn shard_solve_rejects_the_reference_ledger() {
+        let (topo, wl) = world(5.0, 2);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let cfg = ShardConfig {
+            sorp: SorpConfig { use_reference_ledger: true, ..SorpConfig::default() },
+            ..ShardConfig::default()
         };
-        let mono = shard_solve(&ctx, &wl.requests, &mono_cfg, ExecMode::Sequential);
-        assert!(sharded.sorp.schedule == mono.sorp.schedule);
-        assert_eq!(sharded.sorp.cost.to_bits(), mono.sorp.cost.to_bits());
-        assert_eq!(sharded.sorp.iterations, mono.sorp.iterations);
-        assert_eq!(sharded.sorp.victims.len(), mono.sorp.victims.len());
+        let _ =
+            shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), ExecMode::Sequential);
     }
 
     #[test]
@@ -649,9 +428,12 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let cfg = ShardConfig { shards: 3, ..ShardConfig::default() };
-        let a = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
-        let b = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
-        let p = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Parallel);
+        let a =
+            shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), ExecMode::Sequential);
+        let b =
+            shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), ExecMode::Sequential);
+        let p =
+            shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), ExecMode::Parallel);
         assert!(a.sorp.schedule == b.sorp.schedule, "sequential runs diverged");
         assert_eq!(a.sorp.cost.to_bits(), b.sorp.cost.to_bits());
         assert!(a.sorp.schedule == p.sorp.schedule, "parallel diverged from sequential");
@@ -677,25 +459,24 @@ mod tests {
         let sorp = SorpConfig { policy: local_only(), ..SorpConfig::default() };
         for shards in [2, 4, 6] {
             let cfg = ShardConfig { shards, sorp: sorp.clone(), ..ShardConfig::default() };
-            let sharded = shard_solve(&ctx, &requests, &cfg, ExecMode::Sequential);
-            let mono_cfg = ShardConfig {
-                sorp: SorpConfig { use_monolithic_solver: true, ..sorp.clone() },
-                ..cfg
-            };
-            let mono = shard_solve(&ctx, &requests, &mono_cfg, ExecMode::Sequential);
-            assert!(sharded.sorp.overflow_free && mono.sorp.overflow_free);
+            let sharded = shard_solve(
+                &ctx,
+                &requests,
+                &cfg,
+                &mut WarmState::new(&topo),
+                ExecMode::Sequential,
+            );
+            let mono = monolith(&ctx, &requests, &sorp);
+            assert!(sharded.sorp.overflow_free && mono.overflow_free);
             assert_eq!(sharded.split_videos, 0, "regional workload must not split videos");
-            let rel = (sharded.sorp.cost - mono.sorp.cost).abs() / mono.sorp.cost.max(1.0);
+            let rel = (sharded.sorp.cost - mono.cost).abs() / mono.cost.max(1.0);
             assert!(
                 rel <= 1e-9,
                 "{shards} shards: Ψ {} vs monolithic {} (rel {rel:e})",
                 sharded.sorp.cost,
-                mono.sorp.cost
+                mono.cost
             );
-            assert!(
-                sharded.sorp.schedule == mono.sorp.schedule,
-                "{shards} shards: schedules diverged"
-            );
+            assert!(sharded.sorp.schedule == mono.schedule, "{shards} shards: schedules diverged");
         }
     }
 
@@ -711,7 +492,13 @@ mod tests {
             let model = CostModel::per_hop();
             let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
             let cfg = ShardConfig::by_time_slice(4);
-            let out = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
+            let out = shard_solve(
+                &ctx,
+                &wl.requests,
+                &cfg,
+                &mut WarmState::new(&topo),
+                ExecMode::Sequential,
+            );
             assert!(out.sorp.overflow_free, "seed {seed}: reconciliation left overflows");
             assert_eq!(out.sorp.schedule.delivery_count(), wl.requests.len());
             if out.cross_shard_overflows > 0 {
@@ -726,15 +513,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_account_for_every_request() {
+    fn aggregate_initial_cost_is_the_per_shard_phase1_sum() {
         let (topo, wl) = world(5.0, 5);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let cfg = ShardConfig::by_region(4);
-        let out = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
-        assert_eq!(out.shards, out.per_shard.len());
-        assert_eq!(out.per_shard.iter().map(|s| s.requests).sum::<usize>(), wl.requests.len());
-        let summed: Dollars = out.per_shard.iter().map(|s| s.initial_cost).sum();
+        let out =
+            shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), ExecMode::Sequential);
+        let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
+        let parts = partition_requests(&topo, &wl.requests, &spec);
+        assert_eq!(out.shards, parts.len());
+        let summed: Dollars = parts.iter().map(|b| crate::ivsp_solve_priced(&ctx, b).total()).sum();
         assert!(
             (out.sorp.initial_cost - summed).abs() <= 1e-9 * summed.max(1.0),
             "aggregate initial cost must be the per-shard sum"
@@ -753,7 +542,8 @@ mod tests {
             SpaceProfile { start: 0.0, full: 0.0, last: 1e7, end: 1e7, plateau: 4.5e9 },
         )];
         let cfg = ShardConfig::by_region(4);
-        let out = shard_solve_seeded(&ctx, &wl.requests, &cfg, &external, ExecMode::Sequential);
+        let mut warm = WarmState::with_committed(&topo, &external);
+        let out = shard_solve(&ctx, &wl.requests, &cfg, &mut warm, ExecMode::Sequential);
         assert!(out.sorp.overflow_free);
         // Rebuild the ledger with the external occupancy and re-check.
         let mut ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &out.sorp.schedule);

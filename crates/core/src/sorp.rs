@@ -54,7 +54,7 @@
 //! victims, and iteration counts.
 
 use crate::{
-    detect_overflows, heat_of, overflow_set, reschedule_video_traced_with, reschedule_video_with,
+    detect_overflows, heat_of, overflow_set, reschedule_video, reschedule_video_traced,
     Constraints, GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, LedgerMode,
     Overflow, OverflowMonitor, PricedSchedule, SchedCtx, StorageLedger, TrialTrace,
 };
@@ -106,7 +106,9 @@ pub struct SorpConfig {
     /// Run every admission test on the naive reference ledger instead of
     /// the occupancy timeline ([`LedgerMode::Reference`]). Only for
     /// equivalence testing and benchmarking — the timeline is the
-    /// production path and the outputs are identical.
+    /// production path and the outputs are identical. Read by
+    /// [`sorp_solve`] and [`sorp_solve_priced`]; [`crate::shard_solve`]
+    /// runs the timeline only and panics on this flag.
     pub use_reference_ledger: bool,
     /// Disable the cross-iteration trial cache and the incremental
     /// overflow monitor: every iteration re-detects every overflow with a
@@ -114,11 +116,6 @@ pub struct SorpConfig {
     /// for equivalence testing and benchmarking — the cached solver is
     /// the production path and the outputs are identical.
     pub use_uncached_solver: bool,
-    /// Make [`crate::shard_solve`] bypass partitioning entirely and run
-    /// the monolithic IVSP + SORP pipeline on the whole batch — the
-    /// equivalence oracle for the sharded path, following the
-    /// `use_reference_ledger` / `use_uncached_solver` discipline.
-    pub use_monolithic_solver: bool,
 }
 
 impl Default for SorpConfig {
@@ -129,7 +126,6 @@ impl Default for SorpConfig {
             policy: GreedyPolicy::default(),
             use_reference_ledger: false,
             use_uncached_solver: false,
-            use_monolithic_solver: false,
         }
     }
 }
@@ -208,28 +204,15 @@ impl SorpOutcome {
     }
 }
 
-/// Run storage overflow resolution on an integrated schedule.
+/// Run storage overflow resolution on an integrated schedule. Callers
+/// with a priced schedule, occupancy committed outside it, or an
+/// explicit [`ExecMode`] use [`sorp_solve_priced`].
 pub fn sorp_solve(ctx: &SchedCtx<'_>, initial: &Schedule, cfg: &SorpConfig) -> SorpOutcome {
-    sorp_solve_seeded(ctx, initial, cfg, &[])
-}
-
-/// [`sorp_solve`] with additional immutable occupancy already committed
-/// at the storages — the rolling-horizon case where residencies from a
-/// previous scheduling cycle are still draining when this cycle starts.
-/// External occupancy can never be victimised; an overflow consisting
-/// *only* of external occupancy is unresolvable and leaves
-/// `overflow_free = false`.
-pub fn sorp_solve_seeded(
-    ctx: &SchedCtx<'_>,
-    initial: &Schedule,
-    cfg: &SorpConfig,
-    external: &[(NodeId, SpaceProfile)],
-) -> SorpOutcome {
     sorp_solve_priced(
         ctx,
         PricedSchedule::price(ctx, initial.clone()),
         cfg,
-        external,
+        &[],
         ExecMode::default(),
     )
 }
@@ -478,14 +461,14 @@ impl SolveState {
     }
 
     /// Fresh state over an already-built occupancy ledger holding the
-    /// external (cross-cycle) occupancy: the warm-start path clones the
+    /// external (cross-cycle) occupancy: the sharded path clones the
     /// incrementally maintained committed-occupancy ledger instead of
-    /// re-adding the full external profile list, then lays this cycle's
+    /// re-adding a flat external profile list, then lays this cycle's
     /// schedule on top. Per-node entry order is external-then-schedule
-    /// (the cold [`SolveState::new`] builds schedule-then-external);
-    /// aggregate occupancy is order-independent, so admission verdicts
-    /// agree — only reference-mode float summation order would differ,
-    /// which is why the warm path keeps the timeline mode.
+    /// ([`SolveState::new`] builds schedule-then-external); aggregate
+    /// occupancy is order-independent, so admission verdicts agree —
+    /// only reference-mode float summation order would differ, which is
+    /// why the sharded path keeps the timeline mode.
     pub(crate) fn new_with_base(
         ctx: &SchedCtx<'_>,
         priced: PricedSchedule,
@@ -613,7 +596,7 @@ impl SolveState {
                     let job = &jobs[ji];
                     let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
                     let (new_vs, trace) =
-                        reschedule_video_traced_with(ctx, &job.requests, &cons, cfg.policy);
+                        reschedule_video_traced(ctx, &job.requests, &cons, cfg.policy);
                     let new_cost = ctx.video_cost(&new_vs);
                     CachedTrial {
                         new_vs,
@@ -658,7 +641,7 @@ impl SolveState {
                 let ledger = &self.ledger;
                 let mut trials = map_with_mode(mode, &jobs, |job| {
                     let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
-                    let new_vs = reschedule_video_with(ctx, &job.requests, &cons, cfg.policy);
+                    let new_vs = reschedule_video(ctx, &job.requests, &cons, cfg.policy);
                     let overhead = ctx.video_cost(&new_vs) - job.old_cost;
                     let heat = heat_of(cfg.metric, &overflows[job.of_idx], &job.profile, overhead);
                     (heat, overhead, new_vs)
@@ -740,7 +723,12 @@ impl SolveState {
 }
 
 /// The full-control SORP entry point: resolve overflows on an
-/// already-priced schedule, under an explicit [`ExecMode`].
+/// already-priced schedule, under an explicit [`ExecMode`], with
+/// `external` immutable occupancy already committed at the storages —
+/// residencies from a previous scheduling cycle still draining when
+/// this one starts (pass `&[]` for none). External occupancy can never
+/// be victimised; an overflow consisting *only* of external occupancy
+/// is unresolvable and leaves `overflow_free = false`.
 ///
 /// Each iteration materializes the trial-reschedule jobs in
 /// deterministic order, fans them out with the order-preserving

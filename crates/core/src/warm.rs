@@ -10,9 +10,12 @@
 //! * the **committed-occupancy ledger** — rebuilt from the
 //!   ever-growing flat `external` profile list on every cycle.
 //!
-//! [`WarmState`] keeps both alive between [`crate::shard_solve_warm`]
-//! calls. Validity rests on the same machinery the conflict-scoped SORP
-//! cache uses for *within*-solve reuse:
+//! [`WarmState`] keeps both alive between [`crate::shard_solve`] calls
+//! (the caller opens each cycle with [`WarmState::begin_cycle`]); a cold
+//! caller hands the solver a fresh [`WarmState::with_committed`] over
+//! its flat occupancy list instead, so both run one pipeline. Validity
+//! rests on the same machinery the conflict-scoped SORP cache uses for
+//! *within*-solve reuse:
 //!
 //! * a carried trial is only ever consulted for a job whose request set
 //!   is **exactly** the one the entry was derived from (checked at
@@ -46,7 +49,7 @@ use crate::sorp::{CachedTrial, SolveState};
 use crate::{LedgerDelta, SchedCtx, StorageLedger, EXTERNAL_OCCUPANCY};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use vod_cost_model::{RequestBatch, Schedule, Secs, VideoId};
+use vod_cost_model::{RequestBatch, Schedule, Secs, SpaceProfile, VideoId};
 use vod_topology::{NodeId, Topology};
 
 /// Per-cycle warm-start accounting, reset by [`WarmState::begin_cycle`].
@@ -128,7 +131,7 @@ impl CommittedBook {
     }
 
     /// Commit one residency profile.
-    pub fn commit(&mut self, loc: NodeId, profile: vod_cost_model::SpaceProfile) {
+    pub fn commit(&mut self, loc: NodeId, profile: SpaceProfile) {
         if profile.peak() > 0.0 {
             if !self.touched.contains(&loc) {
                 self.touched.push(loc);
@@ -156,7 +159,7 @@ impl CommittedBook {
     }
 
     /// Every active `(storage, profile)` pair, in commit order per node.
-    pub fn profiles(&self) -> impl Iterator<Item = (NodeId, vod_cost_model::SpaceProfile)> + '_ {
+    pub fn profiles(&self) -> impl Iterator<Item = (NodeId, SpaceProfile)> + '_ {
         self.touched
             .iter()
             .flat_map(move |&loc| self.ledger.profiles_at(loc).iter().map(move |&(_, p)| (loc, p)))
@@ -188,6 +191,17 @@ impl WarmState {
             dirty: LedgerDelta::new(),
             stats: WarmStats::default(),
         }
+    }
+
+    /// Warm state whose committed book holds `external` and nothing
+    /// else: how a cold caller hands [`crate::shard_solve`] a flat list
+    /// of immutable occupancy to solve against.
+    pub fn with_committed(topo: &Topology, external: &[(NodeId, SpaceProfile)]) -> Self {
+        let mut warm = Self::new(topo);
+        for &(loc, profile) in external {
+            warm.committed.commit(loc, profile);
+        }
+        warm
     }
 
     /// The committed cross-cycle occupancy.
@@ -319,7 +333,7 @@ impl WarmState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_cost_model::{CostModel, SpaceProfile};
+    use vod_cost_model::CostModel;
     use vod_topology::{builders, units};
     use vod_workload::{CatalogConfig, RequestConfig, Workload};
 

@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use vod_core::{
-    service_run, shard_solve_warm, BackoffPolicy, ExecMode, Rung, SchedCtx, ServiceConfig,
-    WarmState,
+    service_run, shard_solve, BackoffPolicy, ExecMode, Rung, SchedCtx, ServiceConfig, WarmState,
 };
 use vod_cost_model::{Catalog, CostModel, Request, RequestBatch};
 use vod_topology::Topology;
@@ -88,8 +87,8 @@ proptest! {
                 .filter(|r| r.start >= t0 && r.start < t0 + HORIZON)
                 .collect();
             let batch = RequestBatch::new(window);
-            let manual =
-                shard_solve_warm(&ctx, &batch, &cfg.shard, &mut warm, t0, ExecMode::Sequential);
+            warm.begin_cycle(&ctx, t0);
+            let manual = shard_solve(&ctx, &batch, &cfg.shard, &mut warm, ExecMode::Sequential);
             prop_assert_eq!(
                 out.cost.to_bits(),
                 manual.sorp.cost.to_bits(),

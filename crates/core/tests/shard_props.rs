@@ -7,7 +7,8 @@
 
 use proptest::prelude::*;
 use vod_core::{
-    detect_overflows, shard_solve, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig, StorageLedger,
+    detect_overflows, ivsp_solve_priced_with, shard_solve, sorp_solve_priced, ExecMode,
+    GreedyPolicy, SchedCtx, ShardConfig, SorpConfig, SorpOutcome, StorageLedger, WarmState,
 };
 use vod_cost_model::{CostModel, RequestBatch};
 use vod_topology::{builders, Topology};
@@ -15,6 +16,13 @@ use vod_workload::{
     generate_catalog, generate_regional_requests, partition_requests, CatalogConfig, RequestConfig,
     ShardSpec, ShardStrategy, Workload,
 };
+
+/// The separate monolithic pipeline the sharded solver is checked
+/// against: phase 1 and SORP over the whole batch, nothing committed.
+fn monolith(ctx: &SchedCtx<'_>, batch: &RequestBatch, sorp: &SorpConfig) -> SorpOutcome {
+    let priced = ivsp_solve_priced_with(ctx, batch, sorp.policy, ExecMode::Sequential);
+    sorp_solve_priced(ctx, priced, sorp, &[], ExecMode::Sequential)
+}
 
 /// A random sharded-scheduling scenario.
 #[derive(Clone, Debug)]
@@ -95,7 +103,7 @@ proptest! {
         let (topo, wl, cfg) = build(&s);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let out = shard_solve(&ctx, &wl.requests, &cfg, vod_core::ExecMode::Sequential);
+        let out = shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), vod_core::ExecMode::Sequential);
 
         prop_assert!(out.sorp.overflow_free, "reconciliation left overflows");
         prop_assert_eq!(
@@ -107,7 +115,7 @@ proptest! {
         let overflows = detect_overflows(&topo, &ledger);
         prop_assert!(overflows.is_empty(), "independent re-check found overflows: {overflows:?}");
 
-        let again = shard_solve(&ctx, &wl.requests, &cfg, vod_core::ExecMode::Sequential);
+        let again = shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), vod_core::ExecMode::Sequential);
         prop_assert_eq!(&out.sorp.schedule, &again.sorp.schedule, "sharded solve not deterministic");
         prop_assert_eq!(out.sorp.cost.to_bits(), again.sorp.cost.to_bits());
     }
@@ -134,24 +142,20 @@ proptest! {
 
     /// One shard takes the monolithic code path exactly: schedule, cost
     /// bits, iteration count, and victim sequence all coincide with the
-    /// `use_monolithic_solver` oracle.
+    /// separate monolithic pipeline.
     #[test]
     fn one_shard_is_bit_identical_to_monolithic(s in scenario_strategy()) {
         let (topo, wl, mut cfg) = build(&s);
         cfg.shards = 1;
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let sharded = shard_solve(&ctx, &wl.requests, &cfg, vod_core::ExecMode::Sequential);
-        let mono_cfg = ShardConfig {
-            sorp: SorpConfig { use_monolithic_solver: true, ..cfg.sorp.clone() },
-            ..cfg
-        };
-        let mono = shard_solve(&ctx, &wl.requests, &mono_cfg, vod_core::ExecMode::Sequential);
-        prop_assert_eq!(&sharded.sorp.schedule, &mono.sorp.schedule);
-        prop_assert_eq!(sharded.sorp.cost.to_bits(), mono.sorp.cost.to_bits());
-        prop_assert_eq!(sharded.sorp.iterations, mono.sorp.iterations);
-        prop_assert_eq!(sharded.sorp.victims.len(), mono.sorp.victims.len());
-        prop_assert_eq!(sharded.sorp.forced_fallbacks, mono.sorp.forced_fallbacks);
+        let sharded = shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), ExecMode::Sequential);
+        let mono = monolith(&ctx, &wl.requests, &cfg.sorp);
+        prop_assert_eq!(&sharded.sorp.schedule, &mono.schedule);
+        prop_assert_eq!(sharded.sorp.cost.to_bits(), mono.cost.to_bits());
+        prop_assert_eq!(sharded.sorp.iterations, mono.iterations);
+        prop_assert_eq!(sharded.sorp.victims.len(), mono.victims.len());
+        prop_assert_eq!(sharded.sorp.forced_fallbacks, mono.forced_fallbacks);
     }
 
     /// The regional regime: region shards, neighborhood-local policy,
@@ -186,17 +190,13 @@ proptest! {
             seed: workload_seed,
             sorp: sorp.clone(),
         };
-        let sharded = shard_solve(&ctx, &requests, &cfg, vod_core::ExecMode::Sequential);
-        let mono_cfg = ShardConfig {
-            sorp: SorpConfig { use_monolithic_solver: true, ..sorp },
-            ..cfg
-        };
-        let mono = shard_solve(&ctx, &requests, &mono_cfg, vod_core::ExecMode::Sequential);
-        prop_assert!(sharded.sorp.overflow_free && mono.sorp.overflow_free);
+        let sharded = shard_solve(&ctx, &requests, &cfg, &mut WarmState::new(&topo), ExecMode::Sequential);
+        let mono = monolith(&ctx, &requests, &sorp);
+        prop_assert!(sharded.sorp.overflow_free && mono.overflow_free);
         prop_assert_eq!(sharded.split_videos, 0, "regional workload must never split a video");
-        prop_assert_eq!(&sharded.sorp.schedule, &mono.sorp.schedule, "schedules diverged");
-        let rel = (sharded.sorp.cost - mono.sorp.cost).abs() / mono.sorp.cost.abs().max(1.0);
+        prop_assert_eq!(&sharded.sorp.schedule, &mono.schedule, "schedules diverged");
+        let rel = (sharded.sorp.cost - mono.cost).abs() / mono.cost.abs().max(1.0);
         prop_assert!(rel <= 1e-9, "Ψ {} vs monolithic {} (rel {rel:e})",
-            sharded.sorp.cost, mono.sorp.cost);
+            sharded.sorp.cost, mono.cost);
     }
 }

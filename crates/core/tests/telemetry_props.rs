@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use vod_core::{service_run, ExecMode, SchedCtx, ServiceConfig, ShardConfig};
-use vod_core::{shard_solve, Rung};
+use vod_core::{shard_solve, Rung, WarmState};
 use vod_cost_model::{Catalog, CostModel};
 use vod_obs::Recorder;
 use vod_topology::builders::{paper_fig4, PaperFig4Config};
@@ -118,11 +118,13 @@ fn shard_solve_is_recorder_transparent() {
     let cfg = ShardConfig::default();
 
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-    let cold = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
+    let cold =
+        shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), ExecMode::Sequential);
 
     let recorder = Recorder::enabled();
     let ctx_on = SchedCtx::new(&topo, &model, &wl.catalog).with_recorder(recorder.clone());
-    let hot = shard_solve(&ctx_on, &wl.requests, &cfg, ExecMode::Sequential);
+    let hot =
+        shard_solve(&ctx_on, &wl.requests, &cfg, &mut WarmState::new(&topo), ExecMode::Sequential);
 
     assert_eq!(cold.sorp.cost.to_bits(), hot.sorp.cost.to_bits());
     assert_eq!(cold.sorp.iterations, hot.sorp.iterations);

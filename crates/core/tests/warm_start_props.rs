@@ -5,10 +5,15 @@
 //! schedule).
 
 use proptest::prelude::*;
-use vod_core::{shard_solve_seeded, shard_solve_warm, ExecMode, SchedCtx, ShardConfig, WarmState};
+use vod_core::{
+    ivsp_solve_priced_with, shard_solve, sorp_solve_priced, ExecMode, SchedCtx, ShardConfig,
+    WarmState,
+};
 use vod_cost_model::{Catalog, CostModel, Request, RequestBatch, SpaceProfile};
 use vod_topology::{builders, NodeId, Topology};
-use vod_workload::{generate_catalog, generate_requests, CatalogConfig, RequestConfig};
+use vod_workload::{
+    generate_catalog, generate_requests, CatalogConfig, RequestConfig, ShardStrategy,
+};
 
 const HORIZON: f64 = 24.0 * 3_600.0;
 
@@ -53,31 +58,46 @@ proptest! {
     /// Rolling three cycles warm produces, on every cycle, the same Ψ
     /// (within 1e-9 relative) as re-solving that cycle from scratch
     /// against the flat committed-profile list — across workload seeds,
-    /// shard counts, and capacities.
+    /// shard counts (one shard is the unsplit batch), capacities, and
+    /// both partition strategies (time slices split videos across
+    /// shards, so cross-shard reconciliation runs on a warm base).
     #[test]
     fn warm_psi_equals_cold_psi_on_every_cycle(
         seed in 0u64..500,
         shards in 1usize..6,
         capacity_gb in prop_oneof![Just(5.0), Just(8.0)],
+        strategy in prop_oneof![Just(ShardStrategy::ByRegion), Just(ShardStrategy::ByTimeSlice)],
     ) {
         let (topo, catalog) = world(capacity_gb, seed);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let cfg = ShardConfig { shards, ..ShardConfig::default() };
+        let cfg = ShardConfig { shards, strategy, ..ShardConfig::default() };
 
         let mut warm = WarmState::new(&topo);
         let mut committed: Vec<(NodeId, SpaceProfile)> = Vec::new();
         for k in 0..3usize {
             let batch = cycle_batch(&topo, &catalog, seed, k);
             let t0 = k as f64 * HORIZON;
-            let w = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, t0, ExecMode::Sequential);
-            let c = shard_solve_seeded(&ctx, &batch, &cfg, &committed, ExecMode::Sequential);
+            warm.begin_cycle(&ctx, t0);
+            let w = shard_solve(&ctx, &batch, &cfg, &mut warm, ExecMode::Sequential);
+            let mut cold = WarmState::with_committed(&topo, &committed);
+            let c = shard_solve(&ctx, &batch, &cfg, &mut cold, ExecMode::Sequential);
             prop_assert!(w.sorp.overflow_free && c.sorp.overflow_free, "cycle {k} left overflows");
             let rel = (w.sorp.cost - c.sorp.cost).abs() / c.sorp.cost.max(1.0);
             prop_assert!(
                 rel <= 1e-9,
                 "cycle {}: warm Ψ {} vs cold Ψ {} (rel {:e})", k, w.sorp.cost, c.sorp.cost, rel
             );
+            if c.shards == 1 {
+                // An unsplit batch must match the separate monolithic
+                // pipeline over the same flat committed list exactly.
+                let priced =
+                    ivsp_solve_priced_with(&ctx, &batch, cfg.sorp.policy, ExecMode::Sequential);
+                let mono =
+                    sorp_solve_priced(&ctx, priced, &cfg.sorp, &committed, ExecMode::Sequential);
+                prop_assert_eq!(&c.sorp.schedule, &mono.schedule, "cycle {}: 1 shard vs monolith", k);
+                prop_assert_eq!(c.sorp.cost.to_bits(), mono.cost.to_bits());
+            }
             for r in c.sorp.schedule.residencies() {
                 let p = r.profile(catalog.get(r.video));
                 if p.peak() > 0.0 {
@@ -108,7 +128,8 @@ proptest! {
         for k in 0..3usize {
             let batch = cycle_batch(&topo, &catalog, seed, k);
             let t0 = k as f64 * HORIZON;
-            let out = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, t0, ExecMode::Sequential);
+            warm.begin_cycle(&ctx, t0);
+            let out = shard_solve(&ctx, &batch, &cfg, &mut warm, ExecMode::Sequential);
 
             // Eviction accounting: what begin_cycle kept plus what it
             // dropped is exactly what the previous cycle left behind.
@@ -149,8 +170,10 @@ fn repeated_batch_matches_the_cold_oracle() {
     let batch = cycle_batch(&topo, &catalog, 9, 0);
 
     let mut warm = WarmState::new(&topo);
-    let first = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, 0.0, ExecMode::Sequential);
-    let second = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, 0.0, ExecMode::Sequential);
+    warm.begin_cycle(&ctx, 0.0);
+    let first = shard_solve(&ctx, &batch, &cfg, &mut warm, ExecMode::Sequential);
+    warm.begin_cycle(&ctx, 0.0);
+    let second = shard_solve(&ctx, &batch, &cfg, &mut warm, ExecMode::Sequential);
     assert!(warm.stats.trials_carried > 0 || first.sorp.victims.is_empty());
 
     // Cold oracle for the second pass: from-scratch solve over the first
@@ -162,7 +185,8 @@ fn repeated_batch_matches_the_cold_oracle() {
         .map(|r| (r.loc, r.profile(catalog.get(r.video))))
         .filter(|(_, p)| p.peak() > 0.0)
         .collect();
-    let cold = shard_solve_seeded(&ctx, &batch, &cfg, &committed, ExecMode::Sequential);
+    let mut cold_state = WarmState::with_committed(&topo, &committed);
+    let cold = shard_solve(&ctx, &batch, &cfg, &mut cold_state, ExecMode::Sequential);
     let rel = (second.sorp.cost - cold.sorp.cost).abs() / cold.sorp.cost.max(1.0);
     assert!(rel <= 1e-9, "repeat Ψ {} vs cold {} (rel {rel:e})", second.sorp.cost, cold.sorp.cost);
 }

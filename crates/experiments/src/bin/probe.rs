@@ -11,7 +11,7 @@ use vod_experiments::EnvParams;
 /// the resolved cost under each space model (the numbers quoted in
 /// EXPERIMENTS.md's ablation section).
 fn policy_ablation() {
-    use vod_core::{ivsp_solve_with, GreedyPolicy};
+    use vod_core::{ivsp_solve_priced_with, GreedyPolicy};
     use vod_cost_model::SpaceModel;
     let params = EnvParams::paper();
     let (topo, wl) = params.build();
@@ -24,7 +24,10 @@ fn policy_ablation() {
         ("no_new_caches", GreedyPolicy { allow_new_caches: false, ..Default::default() }),
     ];
     for (name, policy) in policies {
-        let cost = ctx.schedule_cost(&ivsp_solve_with(&ctx, &wl.requests, policy));
+        let cost = ctx.schedule_cost(
+            &ivsp_solve_priced_with(&ctx, &wl.requests, policy, ExecMode::default())
+                .into_schedule(),
+        );
         println!("greedy_policy/{name}: phase-1 cost = {cost:.0}");
     }
     for (name, sm) in

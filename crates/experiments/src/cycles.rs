@@ -7,9 +7,9 @@
 //! `vod_core::service_run` — the one cycle loop — and reports each cycle
 //! as a [`CycleReport`]. This module holds those report types and the
 //! cold-start reference [`cold_horizon`]: the same arrival trace cut
-//! into per-cycle batches, each solved from scratch by
-//! [`shard_solve_seeded`] against the flat list of every earlier
-//! cycle's residencies. The service loop's warm start (the committed
+//! into per-cycle batches, each solved from scratch by [`shard_solve`]
+//! over a fresh [`WarmState::with_committed`] holding the flat list of
+//! every earlier cycle's residencies. The service loop's warm start (the committed
 //! book and the carried trial cache of `vod_core::WarmState`) must
 //! match it within 1e-9 relative Ψ on every cycle — asserted here, in
 //! the `warm_start_props` suite, and in the `cycles_warm` bench.
@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::time::Instant;
 use vod_core::{
-    detect_overflows, shard_solve_seeded, ExecMode, SchedCtx, ServiceCycleOutcome,
-    ServiceCycleStats, StorageLedger, WarmStats, EXTERNAL_OCCUPANCY,
+    detect_overflows, shard_solve, ExecMode, SchedCtx, ServiceCycleOutcome, ServiceCycleStats,
+    StorageLedger, WarmState, WarmStats, EXTERNAL_OCCUPANCY,
 };
 use vod_cost_model::{CostModel, RequestBatch, SpaceProfile};
 use vod_topology::{units, NodeId};
@@ -151,9 +151,10 @@ impl RollingOutcome {
 /// the same arrival trace cut into per-cycle batches by reservation
 /// window (cycle `k` takes every reservation starting in
 /// `[k·H, (k+1)·H)`, exactly the batch the unbounded service loop
-/// drains), each solved from scratch by [`shard_solve_seeded`] under
-/// `sp.shard` against the flat list of every earlier cycle's
-/// residencies. Idle cycles skip the solve.
+/// drains), each solved from scratch by [`shard_solve`] under
+/// `sp.shard` over a fresh [`WarmState::with_committed`] holding the
+/// flat list of every earlier cycle's residencies. Idle cycles skip the
+/// solve.
 ///
 /// Only the oracle configuration has a cold equivalent, so `sp` must
 /// set no queue bound, budget, faults or burst.
@@ -204,7 +205,8 @@ pub fn cold_horizon(params: &EnvParams, n_cycles: usize, sp: &ServiceParams) -> 
         };
         if !batch.is_empty() {
             let solve_started = Instant::now();
-            let out = shard_solve_seeded(&ctx, &batch, &sp.shard, &committed, ExecMode::default());
+            let mut cold = WarmState::with_committed(&topo, &committed);
+            let out = shard_solve(&ctx, &batch, &sp.shard, &mut cold, ExecMode::default());
             report.warm.solve_ns = solve_started.elapsed().as_nanos() as u64;
             report.warm.shards_used = out.shards;
             report.cost = out.sorp.cost;
@@ -257,13 +259,7 @@ mod tests {
     }
 
     fn monolithic() -> ServiceParams {
-        ServiceParams {
-            shard: ShardConfig {
-                sorp: SorpConfig { use_monolithic_solver: true, ..SorpConfig::default() },
-                ..ShardConfig::default()
-            },
-            ..ServiceParams::default()
-        }
+        ServiceParams { shard: ShardConfig::by_region(1), ..ServiceParams::default() }
     }
 
     fn assert_psi_close(a: &RollingOutcome, b: &RollingOutcome, what: &str) {

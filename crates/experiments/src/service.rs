@@ -45,9 +45,8 @@ pub struct ServiceParams {
     /// appear in the report.
     pub trace_cycles: Option<usize>,
     /// The sharded-solver configuration every cycle's full solve runs
-    /// under ([`ServiceConfig::shard`]). Its
-    /// [`vod_core::SorpConfig::use_monolithic_solver`] flag selects the
-    /// single-solver oracle exactly as in [`vod_core::shard_solve`].
+    /// under ([`ServiceConfig::shard`]); `shards: 1` solves each
+    /// cycle's batch unsplit.
     pub shard: ShardConfig,
     /// Draw each cycle's workload from
     /// [`vod_workload::generate_regional_requests`] (every video

@@ -19,6 +19,11 @@
 //! while fanning trial reschedules out across cores (see
 //! `DESIGN.md` § "Incremental pricing & parallel execution").
 //!
+//! Fan-outs do not nest. The sharded solver runs its shards one after
+//! another and fans out only inside each shard (phase-1 video groups,
+//! SORP trial jobs), so one [`ExecMode`] is threaded straight through
+//! and no call spawns workers from inside a worker.
+//!
 //! Built on `std::thread::scope`; no external dependencies.
 
 #![forbid(unsafe_code)]
@@ -38,21 +43,6 @@ pub enum ExecMode {
     /// Fan out across `available_parallelism` worker threads.
     #[default]
     Parallel,
-}
-
-impl ExecMode {
-    /// The mode a stage nested *inside* a parallel fan-out should run
-    /// under: always [`ExecMode::Sequential`]. An outer `parallel_map`
-    /// already saturates `available_parallelism`, so a nested parallel
-    /// stage would only oversubscribe the machine with `workers²`
-    /// threads — and by the determinism contract the nested stage's
-    /// output is bit-identical either way, so demoting it is free.
-    /// The sharded SORP solver fans out per shard with the caller's
-    /// mode and runs each shard's IVSP + resolution loop under
-    /// `mode.inner()`.
-    pub fn inner(self) -> ExecMode {
-        ExecMode::Sequential
-    }
 }
 
 /// Map `f` over `items` on all available cores, preserving input order.
@@ -165,21 +155,6 @@ mod tests {
         let forced = parallel_map_with_workers(&items, 8, |&x| x.wrapping_mul(0x9E37));
         assert_eq!(seq, par);
         assert_eq!(seq, forced);
-    }
-
-    #[test]
-    fn inner_mode_is_sequential_and_agrees_with_outer() {
-        assert_eq!(ExecMode::Parallel.inner(), ExecMode::Sequential);
-        assert_eq!(ExecMode::Sequential.inner(), ExecMode::Sequential);
-        // Nested fan-out: an outer parallel map whose body maps again
-        // under `inner()` equals the all-sequential computation.
-        let chunks: Vec<Vec<u64>> = (0..8).map(|c| (c * 100..c * 100 + 57).collect()).collect();
-        let run = |outer: ExecMode| {
-            map_with_mode(outer, &chunks, |chunk| {
-                map_with_mode(outer.inner(), chunk, |&x| x.wrapping_mul(0x9E37_79B9))
-            })
-        };
-        assert_eq!(run(ExecMode::Parallel), run(ExecMode::Sequential));
     }
 
     #[test]

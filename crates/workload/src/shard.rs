@@ -2,7 +2,7 @@
 //!
 //! The sharded SORP pipeline (`vod-core::shard_solve`) splits one
 //! scheduling cycle's [`RequestBatch`] into sub-batches that are solved
-//! concurrently and then reconciled. Two partitioning strategies are
+//! one after another and then reconciled. Two partitioning strategies are
 //! provided, mirroring how production VoD deployments decompose load:
 //!
 //! * **By region** ([`ShardStrategy::ByRegion`]): requests are grouped

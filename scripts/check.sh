@@ -75,6 +75,16 @@ if grep -rn --include='*.rs' -E 'partial_cmp\([^)]*\)\s*\.\s*(unwrap|expect)' \
   exit 1
 fi
 
+echo "==> entry-point lint (one public solve entry point per layer)"
+# Name variants of a solve entry point were folded into one function
+# per layer, with options passed as arguments or config; keep them out.
+if grep -rn --include='*.rs' -E 'pub fn [A-Za-z0-9_]+_(seeded|warm|with_mode|traced_with)\b' \
+    crates/core/src; then
+  echo "error: pub fn *_seeded / *_warm / *_with_mode / *_traced_with is a name variant;" \
+    "extend the layer's one entry point instead" >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

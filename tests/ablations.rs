@@ -3,7 +3,7 @@
 //! full pipeline including simulator validation.
 
 use vod_paradigm::core::{
-    ivsp_solve, ivsp_solve_with, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig,
+    ivsp_solve, ivsp_solve_priced_with, sorp_solve, ExecMode, GreedyPolicy, SchedCtx, SorpConfig,
 };
 use vod_paradigm::cost_model::SpaceModel;
 use vod_paradigm::prelude::*;
@@ -66,16 +66,24 @@ fn greedy_policies_order_as_expected() {
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
 
     let full = ctx.schedule_cost(&ivsp_solve(&ctx, &wl.requests));
-    let local_only = ctx.schedule_cost(&ivsp_solve_with(
-        &ctx,
-        &wl.requests,
-        GreedyPolicy { allow_remote_placement: false, ..Default::default() },
-    ));
-    let no_caching = ctx.schedule_cost(&ivsp_solve_with(
-        &ctx,
-        &wl.requests,
-        GreedyPolicy { allow_new_caches: false, ..Default::default() },
-    ));
+    let local_only = ctx.schedule_cost(
+        &ivsp_solve_priced_with(
+            &ctx,
+            &wl.requests,
+            GreedyPolicy { allow_remote_placement: false, ..Default::default() },
+            ExecMode::default(),
+        )
+        .into_schedule(),
+    );
+    let no_caching = ctx.schedule_cost(
+        &ivsp_solve_priced_with(
+            &ctx,
+            &wl.requests,
+            GreedyPolicy { allow_new_caches: false, ..Default::default() },
+            ExecMode::default(),
+        )
+        .into_schedule(),
+    );
     let network_only =
         ctx.schedule_cost(&vod_paradigm::core::baselines::network_only(&ctx, &wl.requests));
 

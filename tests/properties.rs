@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use vod_paradigm::core::{
-    baselines, detect_overflows, ivsp_solve, ivsp_solve_priced, ivsp_solve_with_mode,
+    baselines, detect_overflows, ivsp_solve, ivsp_solve_priced, ivsp_solve_priced_with,
     reschedule_video, sorp_solve, sorp_solve_priced, Constraints, ExecMode, GreedyPolicy,
     HeatMetric, Interval, PricedSchedule, SchedCtx, SorpConfig, StorageLedger,
 };
@@ -153,7 +153,7 @@ proptest! {
                 exclude: Some(video),
                 forbidden: &forbidden,
             };
-            let vs = reschedule_video(&ctx, group, &cons);
+            let vs = reschedule_video(&ctx, group, &cons, GreedyPolicy::default());
             for r in &vs.residencies {
                 let p = r.profile(catalog.get(r.video));
                 if p.peak() > 0.0 {
@@ -261,12 +261,12 @@ proptest! {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
 
-        let seq1 = ivsp_solve_with_mode(
+        let seq1 = ivsp_solve_priced_with(
             &ctx, &requests, GreedyPolicy::default(), ExecMode::Sequential,
-        );
-        let par1 = ivsp_solve_with_mode(
+        ).into_schedule();
+        let par1 = ivsp_solve_priced_with(
             &ctx, &requests, GreedyPolicy::default(), ExecMode::Parallel,
-        );
+        ).into_schedule();
         prop_assert_eq!(&seq1, &par1);
 
         let cfg = SorpConfig::default();
