@@ -8,7 +8,7 @@
 //! over-subscribe it. [`bandwidth_aware_solve`] processes the *entire*
 //! batch in one global chronological pass (links are shared across videos,
 //! so per-video scheduling cannot see cross-video contention), maintaining
-//! a [`LinkLedger`] of committed stream intervals:
+//! a [`LinkLedger`] of committed link load:
 //!
 //! * every candidate plan is admitted only if its route has spare capacity
 //!   for the whole playback duration;
@@ -23,45 +23,55 @@
 //! (candidates whose residency would overflow are rejected), so the
 //! resulting schedule is feasible in *both* resources by construction.
 
-use crate::{SchedCtx, StorageLedger};
+use crate::{OccupancyTimeline, SchedCtx, StorageLedger};
 use std::collections::BTreeMap;
 use vod_cost_model::{
-    Dollars, Request, RequestBatch, Residency, Schedule, Secs, SpaceProfile, Transfer, VideoId,
-    VideoSchedule,
+    Catalog, Dollars, Request, RequestBatch, Residency, Schedule, Secs, SpaceProfile, Transfer,
+    VideoId, VideoSchedule,
 };
 use vod_topology::{NodeId, Topology};
 
-/// Per-link committed stream intervals.
+/// Per-link committed load. A link's load is piecewise constant — the
+/// zero-slope case of a storage's occupancy — so each edge keeps one
+/// [`OccupancyTimeline`] holding a `+bw` step at every committed stream's
+/// start and a `−bw` step at its end.
 #[derive(Clone, Debug)]
 pub struct LinkLedger {
-    /// `streams[edge]` holds `(start, end, bytes_per_sec)` occupations.
-    streams: Vec<Vec<(Secs, Secs, f64)>>,
+    /// `edges[i]` is the load timeline of `topo.edges()[i]`, bytes/s.
+    pub(crate) edges: Vec<OccupancyTimeline>,
 }
 
 impl LinkLedger {
     /// An empty ledger for a topology.
     pub fn new(topo: &Topology) -> Self {
-        Self { streams: vec![Vec::new(); topo.edge_count()] }
+        Self { edges: vec![OccupancyTimeline::new(); topo.edge_count()] }
+    }
+
+    /// The load of every transfer in `schedule`: each streams at its
+    /// video's reserved bandwidth for the playback duration over every
+    /// link of its route.
+    pub fn from_schedule(topo: &Topology, catalog: &Catalog, schedule: &Schedule) -> Self {
+        let mut ledger = Self::new(topo);
+        for t in schedule.transfers() {
+            let video = catalog.get(t.video);
+            ledger.commit_route(topo, &t.route, t.start, video.playback, video.bandwidth);
+        }
+        ledger
     }
 
     /// Peak committed load on an edge over `[t0, t1)`, bytes/s.
     pub fn peak_over(&self, edge: usize, t0: Secs, t1: Secs) -> f64 {
-        // Sweep the overlapping intervals' endpoints.
-        let xs = &self.streams[edge];
-        let mut events: Vec<(Secs, f64)> = Vec::new();
-        for &(s, e, bw) in xs {
-            if s < t1 && e > t0 {
-                events.push((s.max(t0), bw));
-                events.push((e.min(t1), -bw));
+        // Every delta has zero slope, so the load after a breakpoint is the
+        // running jump sum; a breakpoint at `t1` starts after the window.
+        let timeline = &self.edges[edge];
+        let mut load = timeline.prefix(t0).jump;
+        let mut peak = 0.0f64.max(load);
+        timeline.visit_range(t0, t1, |t, jump, _| {
+            if t < t1 {
+                load += jump;
+                peak = peak.max(load);
             }
-        }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut load = 0.0;
-        let mut peak = 0.0f64;
-        for (_, d) in events {
-            load += d;
-            peak = peak.max(load);
-        }
+        });
         peak
     }
 
@@ -71,28 +81,8 @@ impl LinkLedger {
         self.peak_over(edge, t0, t1) + bw <= capacity * (1.0 + 1e-9)
     }
 
-    /// Whether a whole route fits (links without declared capacity always
-    /// do).
-    pub fn route_fits(
-        &self,
-        topo: &Topology,
-        route: &[NodeId],
-        t0: Secs,
-        dur: Secs,
-        bw: f64,
-    ) -> bool {
-        route.windows(2).all(|hop| {
-            let Some((_, edge)) = topo.neighbors(hop[0]).iter().find(|(n, _)| *n == hop[1]) else {
-                return false;
-            };
-            match topo.edges()[*edge].bandwidth {
-                Some(cap) => self.fits(*edge, t0, t0 + dur, bw, cap),
-                None => true,
-            }
-        })
-    }
-
-    /// Commit a stream along a route.
+    /// Commit a stream of `bw` bytes/s over `[t0, t0 + dur)` along a
+    /// route.
     pub fn commit_route(
         &mut self,
         topo: &Topology,
@@ -102,15 +92,21 @@ impl LinkLedger {
         bw: f64,
     ) {
         for hop in route.windows(2) {
-            let (_, edge) = topo
-                .neighbors(hop[0])
-                .iter()
-                .find(|(n, _)| *n == hop[1])
-                .copied()
-                .expect("committed route hops are links");
-            self.streams[edge].push((t0, t0 + dur, bw));
+            let timeline = &mut self.edges[edge_of(topo, hop[0], hop[1])];
+            timeline.add(t0, bw, 0.0);
+            timeline.add(t0 + dur, -bw, 0.0);
         }
     }
+}
+
+/// Index into [`Topology::edges`] of the link joining `a` and `b`; panics
+/// if the hop is not a link.
+fn edge_of(topo: &Topology, a: NodeId, b: NodeId) -> usize {
+    topo.neighbors(a)
+        .iter()
+        .find(|(n, _)| *n == b)
+        .map(|&(_, edge)| edge)
+        .unwrap_or_else(|| panic!("route hop {a}-{b} is not a link"))
 }
 
 /// Cheapest path from `src` to `dst` using only links with at least `bw`
@@ -287,8 +283,11 @@ pub fn bandwidth_aware_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Bandwi
                     );
                     // Admission uses the paper's instant-reservation
                     // profile — the space a disk must guarantee up front.
+                    // The extension replaces the residency's current
+                    // profile, so that one is left out; caches are keyed by
+                    // (video, node), so at `src` it is the video's only one.
                     let reserve = SpaceProfile::new(r.start, req.start, video.size, video.playback);
-                    if !storage.fits(topo, src, &reserve, None) {
+                    if !storage.fits(topo, src, &reserve, Some(req.video)) {
                         continue;
                     }
                     let old = r.profile_with(video, model);
@@ -388,8 +387,8 @@ pub fn bandwidth_aware_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Bandwi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_cost_model::CostModel;
-    use vod_topology::{builders, units};
+    use vod_cost_model::{CostModel, Video};
+    use vod_topology::{builders, units, UserId};
     use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
     fn world(bandwidth_streams: Option<f64>, seed: u64) -> (Topology, Workload) {
@@ -510,13 +509,56 @@ mod tests {
         let topo = builders::paper_fig2(16.0, 8.0, 1.0, 5.0);
         let mut l = LinkLedger::new(&topo);
         assert_eq!(l.peak_over(0, 0.0, 100.0), 0.0);
-        l.streams[0].push((0.0, 50.0, 2.0));
-        l.streams[0].push((25.0, 75.0, 3.0));
+        let link = [topo.edges()[0].a, topo.edges()[0].b];
+        l.commit_route(&topo, &link, 0.0, 50.0, 2.0);
+        l.commit_route(&topo, &link, 25.0, 50.0, 3.0);
         assert_eq!(l.peak_over(0, 0.0, 100.0), 5.0);
+        // Half-open windows: a stream ending at `t0` or starting at `t1`
+        // does not count.
+        assert_eq!(l.peak_over(0, 0.0, 25.0), 2.0);
+        assert_eq!(l.peak_over(0, 50.0, 100.0), 3.0);
         assert_eq!(l.peak_over(0, 60.0, 100.0), 3.0);
         assert_eq!(l.peak_over(0, 80.0, 100.0), 0.0);
         assert!(l.fits(0, 80.0, 100.0, 4.0, 4.0));
         assert!(!l.fits(0, 0.0, 100.0, 4.0, 4.0));
+    }
+
+    #[test]
+    fn extending_a_cache_does_not_count_its_old_profile() {
+        // One storage with room for exactly one copy, and three requests
+        // from its own neighborhood, each more than a playback apart (so
+        // every extended profile holds the whole file): the first opens a
+        // cache there, the next two extend it. The second extension must
+        // be admitted against the ledger *without* the residency's current
+        // profile, which the extension replaces.
+        let video = Video::new(VideoId(0), units::gb(2.5), units::minutes(90.0), units::mbps(5.0));
+        let topo = {
+            let mut b = vod_topology::TopologyBuilder::new();
+            let vw = b.add_warehouse("VW");
+            let s1 = b.add_storage("IS1", 0.0, video.size);
+            b.connect(vw, s1, 1.0).unwrap();
+            b.add_users(s1, 3);
+            b.build().unwrap()
+        };
+        let catalog = Catalog::new(vec![video]);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let requests = RequestBatch::new(
+            (0..3)
+                .map(|u| Request { user: UserId(u), video: VideoId(0), start: 6_000.0 * u as f64 })
+                .collect(),
+        );
+        let out = bandwidth_aware_solve(&ctx, &requests);
+        assert!(out.blocked.is_empty());
+        let s1 = NodeId(1);
+        let residencies: Vec<&Residency> = out.schedule.residencies().collect();
+        assert_eq!(residencies.len(), 1);
+        assert_eq!(residencies[0].loc, s1);
+        assert_eq!(residencies[0].last_service, 12_000.0, "both extensions admitted");
+        let from_cache = out.schedule.transfers().filter(|t| t.route[0] == s1).count();
+        assert_eq!(from_cache, 2, "the second and third requests stream from the cache");
+        let ledger = StorageLedger::from_schedule(&topo, &catalog, &out.schedule);
+        assert!(crate::detect_overflows(&topo, &ledger).is_empty());
     }
 
     #[test]

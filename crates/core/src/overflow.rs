@@ -143,7 +143,7 @@ impl OverflowMonitor {
 
 /// Overflow intervals at one storage given its capacity.
 fn overflows_at(ledger: &StorageLedger, loc: NodeId, capacity: Bytes) -> Vec<Overflow> {
-    let mut scan = OverflowScan::new(loc, capacity);
+    let mut scan = OverflowScan::new(capacity);
     match ledger.mode() {
         LedgerMode::Timeline => {
             // Single in-order timeline walk: each linear segment arrives
@@ -170,26 +170,28 @@ fn overflows_at(ledger: &StorageLedger, loc: NodeId, capacity: Bytes) -> Vec<Ove
         }
     }
     scan.finish()
+        .into_iter()
+        .map(|(window, peak_excess)| Overflow { loc, window, peak_excess })
+        .collect()
 }
 
-/// Streaming scan over the linear segments of one storage's aggregate
-/// occupancy, accumulating maximal over-capacity windows. Segments must
-/// arrive in time order; `u0` is the right-continuous value at `t0` and
-/// `u1` the exact left limit at `t1`.
-struct OverflowScan {
-    loc: NodeId,
+/// Streaming scan over the linear segments of one resource's aggregate
+/// load (a storage's occupancy, or a link's committed bytes/s),
+/// accumulating maximal over-capacity windows as `(window, peak excess)`.
+/// Segments must arrive in time order; `u0` is the right-continuous
+/// value at `t0` and `u1` the exact left limit at `t1`.
+pub(crate) struct OverflowScan {
     capacity: Bytes,
     threshold: Bytes,
-    out: Vec<Overflow>,
+    out: Vec<(Interval, Bytes)>,
     /// `(window start, running peak excess)` of the open window, if any.
     open: Option<(Secs, Bytes)>,
     last_t: Secs,
 }
 
 impl OverflowScan {
-    fn new(loc: NodeId, capacity: Bytes) -> Self {
+    pub(crate) fn new(capacity: Bytes) -> Self {
         Self {
-            loc,
             capacity,
             threshold: capacity * (1.0 + CAPACITY_EPS) + CAPACITY_EPS,
             out: Vec::new(),
@@ -198,17 +200,16 @@ impl OverflowScan {
         }
     }
 
-    fn segment(&mut self, t0: Secs, t1: Secs, u0: Bytes, u1: Bytes) {
+    pub(crate) fn segment(&mut self, t0: Secs, t1: Secs, u0: Bytes, u1: Bytes) {
         if t1 <= t0 {
             return;
         }
         self.last_t = t1;
-        let loc = self.loc;
         let over0 = u0 > self.threshold;
         let over1 = u1 > self.threshold;
         if !over0 && !over1 {
             if let Some((s, peak)) = self.open.take() {
-                self.out.push(Overflow { loc, window: Interval::new(s, t0), peak_excess: peak });
+                self.out.push((Interval::new(s, t0), peak));
             }
             return;
         }
@@ -229,18 +230,13 @@ impl OverflowScan {
         // Close if the segment ends under capacity before t1.
         if !over1 {
             let (s, peak) = self.open.take().expect("window was open");
-            self.out.push(Overflow { loc, window: Interval::new(s, seg_end), peak_excess: peak });
+            self.out.push((Interval::new(s, seg_end), peak));
         }
     }
 
-    fn finish(mut self) -> Vec<Overflow> {
+    pub(crate) fn finish(mut self) -> Vec<(Interval, Bytes)> {
         if let Some((s, peak)) = self.open.take() {
-            let loc = self.loc;
-            self.out.push(Overflow {
-                loc,
-                window: Interval::new(s, self.last_t),
-                peak_excess: peak,
-            });
+            self.out.push((Interval::new(s, self.last_t), peak));
         }
         self.out
     }

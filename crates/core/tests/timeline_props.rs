@@ -1,12 +1,17 @@
 //! Property tests: the incremental occupancy timeline must agree with the
 //! naive reference ledger — same `usage_at`, `peak_with`, `fits`, sorted
 //! breakpoints, and overflow detection — on random workloads, including
-//! add/remove interleavings and the `exclude` path.
+//! add/remove interleavings and the `exclude` path. Link load, kept in the
+//! same timeline, must agree bit for bit with a per-query event sweep.
 
 use proptest::prelude::*;
-use vod_core::{detect_overflows, LedgerMode, StorageLedger};
-use vod_cost_model::{Secs, SpaceModel, SpaceProfile, VideoId};
+use vod_core::bandwidth::detect_link_overloads;
+use vod_core::{
+    baselines, detect_overflows, ivsp_solve, LedgerMode, LinkLedger, SchedCtx, StorageLedger,
+};
+use vod_cost_model::{Catalog, CostModel, Schedule, Secs, SpaceModel, SpaceProfile, VideoId};
 use vod_topology::{builders, units, NodeId, Topology};
+use vod_workload::{generate_catalog, generate_requests, CatalogConfig, RequestConfig};
 
 /// One residency profile drawn from the strategy, plus where it lives.
 #[derive(Clone, Debug)]
@@ -210,6 +215,148 @@ proptest! {
             prop_assert!(fast.breakpoints(loc, None).is_empty());
             for &t in &w.query_times {
                 prop_assert_eq!(fast.usage_at(loc, t, None), 0.0);
+            }
+        }
+    }
+}
+
+/// Every transfer's `(edge, start, end, bytes/s)` link occupation, in
+/// schedule order.
+fn link_streams(
+    topo: &Topology,
+    catalog: &Catalog,
+    schedule: &Schedule,
+) -> Vec<(usize, Secs, Secs, f64)> {
+    let mut out = Vec::new();
+    for t in schedule.transfers() {
+        let video = catalog.get(t.video);
+        for hop in t.route.windows(2) {
+            let (_, edge) = *topo.neighbors(hop[0]).iter().find(|(n, _)| *n == hop[1]).unwrap();
+            out.push((edge, t.start, t.start + video.playback, video.bandwidth));
+        }
+    }
+    out
+}
+
+/// Reference peak load on `edge` over `[t0, t1)`: clip the overlapping
+/// streams to the window, sort their endpoint events and sweep.
+fn sweep_peak(streams: &[(usize, Secs, Secs, f64)], edge: usize, t0: Secs, t1: Secs) -> f64 {
+    let mut events: Vec<(Secs, f64)> = Vec::new();
+    for &(e, s, end, bw) in streams {
+        if e == edge && s < t1 && end > t0 {
+            events.push((s.max(t0), bw));
+            events.push((end.min(t1), -bw));
+        }
+    }
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut load = 0.0;
+    let mut peak = 0.0f64;
+    for (_, d) in events {
+        load += d;
+        peak = peak.max(load);
+    }
+    peak
+}
+
+/// Reference overload windows `(edge, start, end, peak excess)`: merge
+/// each capped link's sorted events into steps and scan the steps.
+fn step_overloads(
+    topo: &Topology,
+    streams: &[(usize, Secs, Secs, f64)],
+) -> Vec<(usize, Secs, Secs, f64)> {
+    let mut out = Vec::new();
+    for (edge, link) in topo.edges().iter().enumerate() {
+        let Some(capacity) = link.bandwidth else { continue };
+        let mut events: Vec<(Secs, f64)> = Vec::new();
+        for &(e, s, end, bw) in streams {
+            if e == edge {
+                events.push((s, bw));
+                events.push((end, -bw));
+            }
+        }
+        events.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut steps: Vec<(Secs, f64)> = Vec::new();
+        let mut load = 0.0;
+        for (t, d) in events {
+            load += d;
+            match steps.last_mut() {
+                Some((lt, l)) if *lt == t => *l = load,
+                _ => steps.push((t, load)),
+            }
+        }
+        let mut open: Option<(Secs, f64)> = None;
+        for &(t, l) in &steps {
+            let over = l > capacity * (1.0 + 1e-9);
+            match (&mut open, over) {
+                (None, true) => open = Some((t, l - capacity)),
+                (Some((_, peak)), true) => *peak = peak.max(l - capacity),
+                (Some(_), false) => {
+                    let (s, peak) = open.take().unwrap();
+                    out.push((edge, s, t, peak));
+                }
+                (None, false) => {}
+            }
+        }
+        if let Some((s, peak)) = open {
+            out.push((edge, s, steps.last().unwrap().0.max(s), peak));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// On random worlds and schedules (IVSP or network-only, 0.5–6
+    /// streams per link), link-overload detection through the per-link
+    /// timelines and the shared overflow scan, and `LinkLedger::peak_over`
+    /// at random and breakpoint-aligned windows, equal the sort-and-sweep
+    /// references bit for bit.
+    #[test]
+    fn link_load_matches_event_sweep(
+        seed in 0u64..1_000_000,
+        streams_per_link in 0.5f64..6.0,
+        network_only in any::<bool>(),
+        windows in proptest::collection::vec((0.0f64..90_000.0, 1.0f64..12_000.0), 1..8),
+    ) {
+        let cfg = builders::GenConfig { storages: 6, users_per_neighborhood: 8, ..Default::default() };
+        let mut topo = builders::random_connected(&cfg, 3, seed);
+        topo.set_uniform_bandwidth(Some(units::mbps(5.0) * streams_per_link)).unwrap();
+        let catalog = generate_catalog(&CatalogConfig::small(12), seed ^ 0xF00D);
+        let request_cfg = RequestConfig { requests_per_user: 3, ..RequestConfig::with_alpha(0.3) };
+        let requests = generate_requests(&topo, &catalog, &request_cfg, seed);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let schedule = if network_only {
+            baselines::network_only(&ctx, &requests)
+        } else {
+            ivsp_solve(&ctx, &requests)
+        };
+        let streams = link_streams(&topo, &catalog, &schedule);
+
+        let found = detect_link_overloads(&topo, &catalog, &schedule);
+        let want = step_overloads(&topo, &streams);
+        prop_assert_eq!(found.len(), want.len(), "{:?} vs {:?}", found, want);
+        for (o, &(edge, s, e, peak)) in found.iter().zip(&want) {
+            prop_assert_eq!(o.edge, edge);
+            prop_assert_eq!(o.endpoints, (topo.edges()[edge].a, topo.edges()[edge].b));
+            prop_assert_eq!(o.window.start.to_bits(), s.to_bits(), "{:?} vs {}", o, s);
+            prop_assert_eq!(o.window.end.to_bits(), e.to_bits(), "{:?} vs {}", o, e);
+            prop_assert_eq!(o.peak_excess.to_bits(), peak.to_bits(), "{:?} vs {}", o, peak);
+        }
+
+        let ledger = LinkLedger::from_schedule(&topo, &catalog, &schedule);
+        // Windows at random times, and windows starting or ending exactly
+        // on stream endpoints (the half-open boundary cases).
+        let mut queries: Vec<(Secs, Secs)> = windows.iter().map(|&(t0, d)| (t0, t0 + d)).collect();
+        for &(_, s, e, _) in streams.iter().step_by(7) {
+            queries.extend([(s, e), (e, e + 3_000.0), (s - 3_000.0, s)]);
+        }
+        for edge in 0..topo.edge_count() {
+            for &(t0, t1) in &queries {
+                let a = ledger.peak_over(edge, t0, t1);
+                let b = sweep_peak(&streams, edge, t0, t1);
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "edge {} [{}, {}): {} vs {}", edge, t0, t1, a, b);
             }
         }
     }

@@ -15,8 +15,8 @@ use vod_core::{
     bandwidth_aware_solve, find_optimal_video_schedule, find_video_schedule, ivsp_solve_priced,
     sorp_solve_priced, ExecMode, SchedCtx, SorpConfig,
 };
-use vod_cost_model::CostModel;
-use vod_topology::{builders, units};
+use vod_cost_model::{Catalog, CostModel, RequestBatch};
+use vod_topology::{builders, units, Topology};
 use vod_workload::{generate_catalog, generate_requests, CatalogConfig, RequestConfig};
 
 // ---------------------------------------------------------------------
@@ -174,6 +174,26 @@ impl BandwidthResult {
     }
 }
 
+/// The world of one [`bandwidth`] cell: the preset's topology with every
+/// link capped at `streams` concurrent 5 Mbps streams, and its catalog and
+/// requests.
+pub fn bandwidth_world(preset: Preset, streams: f64) -> (Topology, Catalog, RequestBatch) {
+    let base = EnvParams::for_preset(preset);
+    let (mut topo, _) = base.build();
+    topo.set_uniform_bandwidth(Some(units::mbps(5.0) * streams)).expect("positive capacity");
+    // Rebuild the workload against the capped topology (same seed, so the
+    // request pattern is identical across capacity points).
+    let catalog_cfg = CatalogConfig { videos: base.videos, ..CatalogConfig::paper() };
+    let request_cfg = RequestConfig {
+        requests_per_user: base.requests_per_user,
+        ..RequestConfig::with_alpha(base.zipf_alpha)
+    };
+    let catalog = generate_catalog(&catalog_cfg, base.seed ^ 0xCA7A_10C0_FFEE_0001);
+    let requests =
+        generate_requests(&topo, &catalog, &request_cfg, base.seed ^ 0x5EED_0000_0000_0002);
+    (topo, catalog, requests)
+}
+
 /// Sweep per-link capacity and compare the bandwidth-aware scheduler with
 /// the capacity-oblivious two-phase schedule.
 pub fn bandwidth(preset: Preset) -> BandwidthResult {
@@ -184,19 +204,7 @@ pub fn bandwidth(preset: Preset) -> BandwidthResult {
     };
 
     let rows = parallel_map(&capacities, |&streams| {
-        let (mut topo, _) = base.build();
-        topo.set_uniform_bandwidth(Some(units::mbps(5.0) * streams)).expect("positive capacity");
-        // Rebuild the workload against the capped topology (same seed, so
-        // the request pattern is identical across capacity points).
-        let catalog_cfg = CatalogConfig { videos: base.videos, ..CatalogConfig::paper() };
-        let request_cfg = RequestConfig {
-            requests_per_user: base.requests_per_user,
-            ..RequestConfig::with_alpha(base.zipf_alpha)
-        };
-        let catalog = generate_catalog(&catalog_cfg, base.seed ^ 0xCA7A_10C0_FFEE_0001);
-        let requests =
-            generate_requests(&topo, &catalog, &request_cfg, base.seed ^ 0x5EED_0000_0000_0002);
-
+        let (topo, catalog, requests) = bandwidth_world(preset, streams);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
 

@@ -34,6 +34,12 @@ cargo bench --offline -p vod-bench --bench service_overload -- --test
 echo "==> bench smoke run (telemetry_overhead --test)"
 cargo bench --offline -p vod-bench --bench telemetry_overhead -- --test
 
+echo "==> bench smoke run (bandwidth_ledger --test)"
+cargo bench --offline -p vod-bench --bench bandwidth_ledger -- --test
+
+echo "==> bandwidth run (link-capacity sweep through the vodx binary)"
+cargo run -q --release --offline -p vod-experiments --bin vodx -- bandwidth --fast >/dev/null
+
 echo "==> sharded-scheduler property suite"
 cargo test -q --offline -p vod-core --test shard_props
 

@@ -1,6 +1,6 @@
 //! Property tests for the extension surfaces: trace round-trips, the
-//! generalised space profile, link ledgers, bandwidth-aware scheduling,
-//! and the exact solver.
+//! generalised space profile, link ledgers, bandwidth-aware scheduling
+//! (checked against the independent simulator), and the exact solver.
 
 use proptest::prelude::*;
 use vod_paradigm::core::{
@@ -8,6 +8,7 @@ use vod_paradigm::core::{
 };
 use vod_paradigm::cost_model::{SpaceModel, SpaceProfile};
 use vod_paradigm::prelude::*;
+use vod_paradigm::simulator::{simulate, SimOptions};
 use vod_paradigm::workload::{trace, SplitMix64};
 
 proptest! {
@@ -189,5 +190,14 @@ proptest! {
             &topo, &catalog, &out.schedule
         )
         .is_empty());
+        // The solver's admission and the detector above share one link
+        // ledger, so also replay the schedule on the independent
+        // simulator: it must deliver exactly the admitted requests within
+        // every storage capacity and link bandwidth.
+        let admitted = RequestBatch::new(
+            requests.iter().filter(|r| !out.blocked.contains(r)).copied().collect(),
+        );
+        let report = simulate(&topo, &catalog, &model, &out.schedule, &SimOptions::strict(&admitted));
+        prop_assert!(report.is_valid(), "strict replay: {:?}", report.violations);
     }
 }
