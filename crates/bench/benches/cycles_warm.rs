@@ -55,7 +55,7 @@ const ARMS: [(&str, bool, bool); 3] =
 fn run_arm(p: &EnvParams, n_cycles: usize, mono: bool, warm: bool) -> RollingOutcome {
     let sp = ServiceParams { shard: shard_cfg(mono), regional: true, ..ServiceParams::default() };
     if warm {
-        service_horizon(p, n_cycles, &sp, &Recorder::disabled()).0
+        service_horizon(p, n_cycles, &sp, &Recorder::disabled()).expect("valid config").0
     } else {
         cold_horizon(p, n_cycles, &sp)
     }

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use vod_bench::Fixture;
 use vod_core::{
-    baselines, detect_overflows, find_video_schedule, ivsp_solve, ivsp_solve_priced_with,
+    baselines, detect_overflows, find_video_schedule, ivsp_solve, ivsp_solve_priced_with, oracle,
     sorp_solve, sorp_solve_priced, ExecMode, GreedyPolicy, SorpConfig, StorageLedger,
 };
 use vod_simulator::{simulate, SimOptions};
@@ -73,11 +73,18 @@ fn bench(c: &mut Criterion) {
     });
     // End-to-end resolution on the naive reference ledger (bit-identical
     // schedule, slower admission tests) — the timeline's e2e comparator.
-    let reference_cfg = SorpConfig { use_reference_ledger: true, ..SorpConfig::default() };
     g.bench_function("priced_sequential_reference_ledger", |b| {
         b.iter_batched(
             || priced.clone(),
-            |p1| sorp_solve_priced(&ctx, p1, &reference_cfg, &[], ExecMode::Sequential),
+            |p1| {
+                oracle::sorp_solve_reference_ledger(
+                    &ctx,
+                    p1,
+                    &SorpConfig::default(),
+                    &[],
+                    ExecMode::Sequential,
+                )
+            },
             BatchSize::LargeInput,
         )
     });

@@ -76,8 +76,9 @@ fn measure(arm_list: &[(&'static str, usize)], samples: usize) -> Vec<(f64, f64)
         for (ai, (_, mult)) in arm_list.iter().enumerate() {
             let sp = service_params(*mult);
             let start = Instant::now();
-            let (outcome, _, _) =
-                std::hint::black_box(service_horizon(&p, N_CYCLES, &sp, &Recorder::disabled()));
+            let (outcome, _, _) = std::hint::black_box(
+                service_horizon(&p, N_CYCLES, &sp, &Recorder::disabled()).expect("valid config"),
+            );
             wall[ai].push(start.elapsed().as_nanos() as f64);
             solve[ai].push(outcome.cycles.iter().map(|c| c.warm.solve_ns).sum::<u64>() as f64);
         }
@@ -138,7 +139,8 @@ fn bench(c: &mut Criterion) {
     let mut rows = Vec::new();
     for &(arm, mult) in arm_list {
         let sp = service_params(mult);
-        let (outcome, report, raw) = service_horizon(&p, N_CYCLES, &sp, &Recorder::disabled());
+        let (outcome, report, raw) =
+            service_horizon(&p, N_CYCLES, &sp, &Recorder::disabled()).expect("valid config");
         assert_eq!(report.conservation_error(), 0, "{arm}: accounting leak");
         let complaints = check_service_accounting(&report);
         assert!(complaints.is_empty(), "{arm}: {complaints:?}");
@@ -218,7 +220,9 @@ fn bench(c: &mut Criterion) {
         for (arm, mult) in arms() {
             let sp = service_params(mult);
             g.bench_function(arm, |b| {
-                b.iter(|| service_horizon(&p, N_CYCLES, &sp, &Recorder::disabled()))
+                b.iter(|| {
+                    service_horizon(&p, N_CYCLES, &sp, &Recorder::disabled()).expect("valid config")
+                })
             });
         }
         g.finish();

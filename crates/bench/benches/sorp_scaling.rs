@@ -15,7 +15,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
-use vod_core::{ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig, SorpOutcome};
+use vod_core::{
+    ivsp_solve_priced, oracle, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig, SorpOutcome,
+};
 use vod_cost_model::{CostModel, Request, RequestBatch};
 use vod_topology::{builders, Topology};
 use vod_workload::{CatalogConfig, RequestConfig, Workload};
@@ -68,9 +70,8 @@ fn truncated(wl: &Workload, n: usize) -> RequestBatch {
 }
 
 fn solve(ctx: &SchedCtx<'_>, batch: &RequestBatch, uncached: bool) -> SorpOutcome {
-    let cfg = SorpConfig { use_uncached_solver: uncached, ..SorpConfig::default() };
-    let phase1 = ivsp_solve_priced(ctx, batch);
-    sorp_solve_priced(ctx, phase1, &cfg, &[], ExecMode::default())
+    let solver = if uncached { oracle::sorp_solve_uncached } else { sorp_solve_priced };
+    solver(ctx, ivsp_solve_priced(ctx, batch), &SorpConfig::default(), &[], ExecMode::default())
 }
 
 /// Median ns per call of `f` over `samples` runs (1 in smoke mode).

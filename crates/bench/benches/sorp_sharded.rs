@@ -101,7 +101,6 @@ struct Row {
     psi_rel_err: f64,
     cross_shard_overflows: usize,
     reconcile_iterations: usize,
-    trials_transplanted: usize,
     shared_storages: usize,
 }
 
@@ -117,7 +116,7 @@ fn emit_json(rows: &[Row], smoke: bool) {
             "    {{\"arm\": \"{}\", \"requests\": {}, \"shards\": {}, \"sharded_ns\": {:.0}, \
              \"monolithic_ns\": {:.0}, \"speedup\": {:.2}, \"psi_rel_err\": {:.3e}, \
              \"cross_shard_overflows\": {}, \"reconcile_iterations\": {}, \
-             \"trials_transplanted\": {}, \"shared_storages\": {}}}{}\n",
+             \"shared_storages\": {}}}{}\n",
             r.arm,
             r.requests,
             r.shards,
@@ -127,7 +126,6 @@ fn emit_json(rows: &[Row], smoke: bool) {
             r.psi_rel_err,
             r.cross_shard_overflows,
             r.reconcile_iterations,
-            r.trials_transplanted,
             r.shared_storages,
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -221,13 +219,12 @@ fn bench(c: &mut Criterion) {
                 let rel = (out.sorp.cost - mono.cost).abs() / mono.cost.abs().max(1.0);
                 eprintln!(
                     "sharded/{arm}/{n}/{shards}: {:.1} ms vs monolithic {:.1} ms ({:.2}x), \
-                     {} cross-shard overflows, {} reconcile iterations, {} trials transplanted",
+                     {} cross-shard overflows, {} reconcile iterations",
                     sharded_ns / 1e6,
                     mono_ns / 1e6,
                     mono_ns / sharded_ns.max(1e-9),
                     out.cross_shard_overflows,
                     out.reconcile_iterations,
-                    out.trials_transplanted,
                 );
                 rows.push(Row {
                     arm,
@@ -238,7 +235,6 @@ fn bench(c: &mut Criterion) {
                     psi_rel_err: rel,
                     cross_shard_overflows: out.cross_shard_overflows,
                     reconcile_iterations: out.reconcile_iterations,
-                    trials_transplanted: out.trials_transplanted,
                     shared_storages: out.shared_storages,
                 });
             }

@@ -36,7 +36,8 @@ fn service_params() -> ServiceParams {
 }
 
 fn run(p: &EnvParams, recorder: &Recorder) -> Vec<u64> {
-    let (outcome, _, _) = service_horizon(p, N_CYCLES, &service_params(), recorder);
+    let (outcome, _, _) =
+        service_horizon(p, N_CYCLES, &service_params(), recorder).expect("valid config");
     outcome.cycles.iter().map(|c| c.cost.to_bits()).collect()
 }
 

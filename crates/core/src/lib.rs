@@ -37,6 +37,9 @@
 //! [`PricedSchedule::price`]; [`sorp_solve`] and [`sorp_solve_priced`]
 //! (phase 2); [`shard_solve`] (one cycle).
 //!
+//! The [`oracle`] module holds the reference solvers the fast SORP path
+//! is tested against; no configuration selects them.
+//!
 //! The [`baselines`] module provides the paper's comparator (the
 //! *network-only system*) and additional reference policies; the
 //! [`bandwidth`] module implements the paper's stated future-work
@@ -71,6 +74,7 @@ mod ctx;
 pub mod exact;
 mod greedy;
 pub mod heat;
+pub mod oracle;
 mod overflow;
 mod pricing;
 mod repair;
@@ -99,8 +103,8 @@ pub use repair::{
     repair_schedule, DelayRecord, RepairConfig, RepairOutcome, ShedReason, ShedRecord,
 };
 pub use service::{
-    service_run, BackoffPolicy, BudgetModel, IntakeError, Rung, ServiceConfig, ServiceCycleOutcome,
-    ServiceCycleStats, ServiceLoop, ServiceReport,
+    service_run, BackoffPolicy, BudgetModel, IntakeError, Rung, ServiceConfig, ServiceConfigError,
+    ServiceCycleOutcome, ServiceCycleStats, ServiceLoop, ServiceReport,
 };
 pub use shard::{shard_solve, ShardConfig, ShardOutcome};
 pub use sorp::{

@@ -23,6 +23,15 @@ use vod_topology::{NodeId, Topology};
 /// noise.
 pub(crate) const CAPACITY_EPS: f64 = 1e-9;
 
+/// Absolute slack of overflow detection, in bytes (bytes/s on links).
+/// The timeline evaluates a segment end as `jump + slope·t − Σ slope·tᵢ`,
+/// and where the true occupancy is 0 that cancellation leaves residues of
+/// ~1e-6 B at day-scale times: at zero capacity a smaller slack reads
+/// them as overflow and bridges windows across empty gaps. Admission
+/// ([`StorageLedger::fits`]) keeps the strict `CAPACITY_EPS` slack, so a
+/// commit it admits is never flagged.
+const DETECTION_SLACK: f64 = 1.0;
+
 /// A half-open time interval `[start, end)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Interval {
@@ -193,7 +202,7 @@ impl OverflowScan {
     pub(crate) fn new(capacity: Bytes) -> Self {
         Self {
             capacity,
-            threshold: capacity * (1.0 + CAPACITY_EPS) + CAPACITY_EPS,
+            threshold: capacity * (1.0 + CAPACITY_EPS) + DETECTION_SLACK,
             out: Vec::new(),
             open: None,
             last_t: f64::NEG_INFINITY,
@@ -265,7 +274,9 @@ pub fn overflow_set<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_cost_model::{Catalog, Request, Residency, Video, VideoId, VideoSchedule};
+    use vod_cost_model::{
+        Catalog, Request, Residency, SpaceProfile, Video, VideoId, VideoSchedule,
+    };
     use vod_topology::{builders, units, UserId};
 
     fn setup(capacity_gb: f64) -> (Topology, Catalog) {
@@ -381,6 +392,40 @@ mod tests {
         let ofs = detect_overflows(&topo, &ledger);
         assert_eq!(ofs.len(), 2, "got {ofs:?}");
         assert!(ofs[0].window.end < ofs[1].window.start);
+    }
+
+    #[test]
+    fn float_residue_never_bridges_an_empty_gap() {
+        // Three drains end by t = 88 584.9552 and the next copy arrives a
+        // thousand seconds later. The timeline leaves ~1e-6 B of
+        // cancellation residue in the empty gap, which a zero-capacity
+        // store once read as overflow, merging both windows into one.
+        let mut topo = setup(5.0).0;
+        topo.set_uniform_capacity(0.0).unwrap();
+        let p = |start: f64, last: f64, end: f64, plateau: f64| SpaceProfile {
+            start,
+            full: start,
+            last,
+            end,
+            plateau,
+        };
+        let profiles = [
+            p(81_576.572, 82_137.93, 87_593.911_799_999_99, 292_070_006.295_471_85),
+            p(80_069.063, 81_765.515, 87_156.2126, 921_247_769.123_612_9),
+            p(82_227.995, 82_505.205, 88_584.9552, 139_353_721.170_981_6),
+            p(89_584.9552, 90_584.9552, 95_584.9552, 600_000_000.0),
+        ];
+        for mode in [LedgerMode::Timeline, LedgerMode::Reference] {
+            let mut ledger = StorageLedger::new(&topo);
+            ledger.set_mode(mode);
+            for (i, &profile) in profiles.iter().enumerate() {
+                ledger.add(NodeId(1), VideoId(i as u32), profile);
+            }
+            let ofs = detect_overflows(&topo, &ledger);
+            assert_eq!(ofs.len(), 2, "{mode:?}: {ofs:?}");
+            assert!((ofs[0].window.end - 88_584.9552).abs() < 1e-3, "{mode:?}: {ofs:?}");
+            assert_eq!(ofs[1].window.start, 89_584.9552, "{mode:?}");
+        }
     }
 
     #[test]

@@ -153,6 +153,41 @@ impl fmt::Display for IntakeError {
 
 impl std::error::Error for IntakeError {}
 
+/// Typed rejection from [`ServiceLoop::new`] and [`service_run`]: a
+/// configuration the loop cannot run.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ServiceConfigError {
+    /// The fault plan does not validate against the topology.
+    Faults(FaultError),
+    /// [`ServiceConfig::horizon`] is not finite or not positive.
+    BadHorizon(Secs),
+    /// [`ServiceConfig::budget_ns`] is NaN or negative.
+    BadBudget(f64),
+    /// [`ServiceConfig::saturation_bytes`] is NaN or negative.
+    BadSaturation(f64),
+}
+
+impl fmt::Display for ServiceConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Faults(e) => write!(f, "invalid fault plan: {e}"),
+            Self::BadHorizon(h) => write!(f, "cycle horizon {h} must be finite and positive"),
+            Self::BadBudget(b) => write!(f, "cycle budget {b} ns must be a non-negative number"),
+            Self::BadSaturation(x) => {
+                write!(f, "saturation limit {x} B must be a non-negative number")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServiceConfigError {}
+
+impl From<FaultError> for ServiceConfigError {
+    fn from(e: FaultError) -> Self {
+        Self::Faults(e)
+    }
+}
+
 /// Re-enqueue policy for shed and fault-displaced requests.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct BackoffPolicy {
@@ -579,15 +614,21 @@ pub struct ServiceLoop {
 }
 
 impl ServiceLoop {
-    /// Open a service loop over `topo`. Fails when the configured fault
-    /// plan does not validate against the topology — the only poisoned
-    /// input a caller can hand in.
-    pub fn new(topo: &Topology, cfg: ServiceConfig) -> Result<Self, FaultError> {
+    /// Open a service loop over `topo`. Fails when the fault plan does
+    /// not validate against the topology, the horizon is not finite and
+    /// positive, or the budget or saturation limit is NaN or negative.
+    pub fn new(topo: &Topology, cfg: ServiceConfig) -> Result<Self, ServiceConfigError> {
         cfg.faults.validate(topo)?;
-        assert!(
-            cfg.horizon.is_finite() && cfg.horizon > 0.0,
-            "cycle horizon must be positive and finite"
-        );
+        if !(cfg.horizon.is_finite() && cfg.horizon > 0.0) {
+            return Err(ServiceConfigError::BadHorizon(cfg.horizon));
+        }
+        let bad = |x: &f64| x.is_nan() || *x < 0.0;
+        if let Some(b) = cfg.budget_ns.filter(bad) {
+            return Err(ServiceConfigError::BadBudget(b));
+        }
+        if let Some(x) = cfg.saturation_bytes.filter(bad) {
+            return Err(ServiceConfigError::BadSaturation(x));
+        }
         Ok(Self {
             cfg,
             warm: WarmState::new(topo),
@@ -1002,7 +1043,7 @@ pub fn service_run(
     cfg: &ServiceConfig,
     n_cycles: usize,
     mode: ExecMode,
-) -> Result<(Vec<ServiceCycleOutcome>, ServiceReport), FaultError> {
+) -> Result<(Vec<ServiceCycleOutcome>, ServiceReport), ServiceConfigError> {
     debug_assert!(
         arrivals.windows(2).all(|w| w[0].at <= w[1].at),
         "arrival trace must be sorted by arrival time"
@@ -1303,6 +1344,6 @@ mod tests {
             ..ServiceConfig::default()
         };
         let err = ServiceLoop::new(&topo, cfg).map(|_| ()).unwrap_err();
-        assert_eq!(err, FaultError::WarehouseOutage(topo.warehouse()));
+        assert_eq!(err, ServiceConfigError::Faults(FaultError::WarehouseOutage(topo.warehouse())));
     }
 }

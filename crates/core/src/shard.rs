@@ -11,16 +11,13 @@
 //!    ([`PricedSchedule::merge`]: Ψ is additive over transfers and
 //!    residencies);
 //! 2. a fresh global [`SolveState`] is built over the merged schedule
-//!    and seeded with one [`crate::LedgerDelta`] covering every merged
-//!    residency footprint and the committed occupancy, so transplanted
-//!    trial-cache entries (epoch 0) lazily re-validate against the
-//!    occupancy the *other* shards contributed — the PR-4
-//!    conflict-detection machinery reused across shard boundaries;
+//!    and the committed occupancy, with every per-shard ban carried over
+//!    in shard order; its trial cache starts empty (the per-shard caches
+//!    go to the [`WarmState`] carry instead);
 //! 3. cross-shard capacity overflows (storages individually feasible
 //!    per shard but jointly over capacity) are detected by the standard
 //!    scan and resolved by one bounded global SORP pass whose victim
-//!    loop starts from the per-shard outcomes: surviving trials replay
-//!    instead of re-running the greedy, and per-shard bans carry over.
+//!    loop starts from the per-shard outcomes.
 //!
 //! [`shard_solve`] is the one sharded entry point. The service loop
 //! hands it its carried [`WarmState`]; a cold caller hands it a fresh
@@ -50,8 +47,9 @@
 //!
 //! The equivalence oracle is the separate monolithic pipeline,
 //! [`crate::sorp_solve_priced`] over [`crate::ivsp_solve_priced_with`]
-//! on the whole batch; the tests compare against it, following the
-//! reference-ledger / uncached-solver discipline.
+//! on the whole batch; the tests compare against it, as they compare
+//! [`crate::sorp_solve_priced`] with the reference solvers in
+//! [`crate::oracle`].
 
 use crate::sorp::SolveState;
 use crate::warm::WarmState;
@@ -123,9 +121,6 @@ pub struct ShardOutcome {
     pub reconcile_iterations: usize,
     /// Victims the global reconciliation pass committed.
     pub reconcile_victims: usize,
-    /// Trial-cache entries transplanted from the shards into the global
-    /// pass.
-    pub trials_transplanted: usize,
 }
 
 impl ShardOutcome {
@@ -142,7 +137,6 @@ impl ShardOutcome {
                 .u64("cross_shard_overflows", self.cross_shard_overflows as u64)
                 .u64("reconcile_iterations", self.reconcile_iterations as u64)
                 .u64("reconcile_victims", self.reconcile_victims as u64)
-                .u64("trials_transplanted", self.trials_transplanted as u64)
                 .u64("iterations", self.sorp.iterations as u64)
                 .u64("victims", self.sorp.victims.len() as u64)
                 .u64("forced_fallbacks", self.sorp.forced_fallbacks as u64)
@@ -175,9 +169,6 @@ impl ShardOutcome {
 ///   the previous cycle's final ledger footprint with the new state's
 ///   own, so the standard lazy validation answers every cross-cycle
 ///   staleness question before an entry is reused.
-///
-/// Panics if `cfg.sorp` asks for the reference ledger: every solve
-/// here builds on the committed timeline ledger.
 pub fn shard_solve(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
@@ -185,7 +176,6 @@ pub fn shard_solve(
     warm: &mut WarmState,
     mode: ExecMode,
 ) -> ShardOutcome {
-    assert!(!cfg.sorp.use_reference_ledger, "shard_solve runs the timeline ledger only");
     let out = solve(ctx, batch, cfg, warm, mode);
     out.record(&ctx.recorder, batch.len());
     out
@@ -233,7 +223,6 @@ fn solve(
         cross_shard_overflows: cross.overflows,
         reconcile_iterations: cross.iterations,
         reconcile_victims: cross.victims,
-        trials_transplanted: cross.transplanted,
     }
 }
 
@@ -245,7 +234,6 @@ struct CrossShard {
     overflows: usize,
     iterations: usize,
     victims: usize,
-    transplanted: usize,
 }
 
 /// Merge the resolved shard states into one global state and run the
@@ -253,7 +241,7 @@ struct CrossShard {
 fn reconcile(
     ctx: &SchedCtx<'_>,
     cfg: &ShardConfig,
-    warm: &WarmState,
+    warm: &mut WarmState,
     states: Vec<SolveState>,
     out: &mut CrossShard,
     mode: ExecMode,
@@ -276,10 +264,10 @@ fn reconcile(
     out.split_videos = split.len();
     out.shared_storages = storage_shards.values().filter(|s| s.len() > 1).count();
 
-    // Tear the shard states apart: schedules merge, caches and bans
-    // transplant, counters aggregate.
+    // Tear the shard states apart: schedules merge, bans carry over,
+    // counters aggregate, and trial caches go to the warm carry.
     let mut parts = Vec::with_capacity(states.len());
-    let mut handovers = Vec::with_capacity(states.len());
+    let mut bans = Vec::with_capacity(states.len());
     let mut initial_cost = 0.0;
     let mut iterations = 0;
     let mut forced_fallbacks = 0;
@@ -297,30 +285,21 @@ fn reconcile(
         nodes_rescanned += s.nodes_rescanned;
         carried_revalidated += s.carried_revalidated;
         victims.append(&mut s.victims);
-        // A split video's per-shard request set is a strict subset of
-        // its global one, so its memoized trials violate the cache's
-        // request-invariance assumption in the merged state: drop them.
-        // Unsplit videos' entries carry over and re-validate lazily.
+        // A split video's per-shard request set matches no later batch,
+        // so only unsplit videos' trials are worth carrying; the global
+        // pass's own trials replace them at harvest.
         s.cache.retain(|vid, _| !split.contains(vid));
-        handovers.push((s.cache, s.forbidden));
+        warm.trials.extend(s.cache);
+        bans.push(s.forbidden);
         parts.push(s.priced);
     }
 
     let merged = PricedSchedule::merge(parts);
     let mut global = SolveState::new_with_base(ctx, merged, warm.committed().ledger().clone());
-
-    // The cross-shard validation delta: the global ledger's full
-    // footprint (merged residencies and committed occupancy) unioned
-    // with the previous cycle's final footprint. Transplanted entries
-    // re-validate against it on first lookup, which is exactly "did any
-    // *other* shard's occupancy, or the previous cycle's, flip one of my
-    // recorded admission answers?".
-    let mut cross = global.ledger.span_delta();
-    cross.merge(&warm.dirty);
-    global.deltas = vec![cross];
-
-    for (cache, forbidden) in handovers {
-        out.transplanted += global.adopt(cache, forbidden);
+    for forbidden in bans {
+        for (vid, b) in forbidden {
+            global.forbidden.entry(vid).or_default().extend(b);
+        }
     }
 
     out.overflows = detect_overflows(ctx.topo, &global.ledger).len();
@@ -406,20 +385,6 @@ mod tests {
         assert_eq!(sharded.sorp.cost.to_bits(), mono.cost.to_bits());
         assert_eq!(sharded.sorp.iterations, mono.iterations);
         assert_eq!(sharded.sorp.victims.len(), mono.victims.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "timeline ledger only")]
-    fn shard_solve_rejects_the_reference_ledger() {
-        let (topo, wl) = world(5.0, 2);
-        let model = CostModel::per_hop();
-        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let cfg = ShardConfig {
-            sorp: SorpConfig { use_reference_ledger: true, ..SorpConfig::default() },
-            ..ShardConfig::default()
-        };
-        let _ =
-            shard_solve(&ctx, &wl.requests, &cfg, &mut WarmState::new(&topo), ExecMode::Sequential);
     }
 
     #[test]

@@ -47,16 +47,17 @@
 //! * the [`crate::OverflowMonitor`] rescans only storages whose ledger
 //!   version moved, instead of every node's full timeline.
 //!
-//! The pre-cache solver survives behind
-//! [`SorpConfig::use_uncached_solver`] as the equivalence oracle (same
-//! discipline as [`SorpConfig::use_reference_ledger`]): the property
-//! tests assert both paths produce bit-identical schedules, costs,
-//! victims, and iteration counts.
+//! The pre-cache solver survives as an equivalence oracle in
+//! [`crate::oracle`] (`sorp_solve_uncached`), next to the cached solver
+//! on the naive reference ledger (`sorp_solve_reference_ledger`): the
+//! property tests assert that both take the fast path's decisions —
+//! schedules, costs, victims, and iteration counts. Neither is
+//! reachable from [`SorpConfig`].
 
 use crate::{
     detect_overflows, heat_of, overflow_set, reschedule_video, reschedule_video_traced,
-    Constraints, GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, LedgerMode,
-    Overflow, OverflowMonitor, PricedSchedule, SchedCtx, StorageLedger, TrialTrace,
+    Constraints, GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, Overflow,
+    OverflowMonitor, PricedSchedule, SchedCtx, StorageLedger, TrialTrace,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -103,19 +104,6 @@ pub struct SorpConfig {
     /// here and in phase 1 so overflow resolution searches the same
     /// placement space the schedule was built in.
     pub policy: GreedyPolicy,
-    /// Run every admission test on the naive reference ledger instead of
-    /// the occupancy timeline ([`LedgerMode::Reference`]). Only for
-    /// equivalence testing and benchmarking — the timeline is the
-    /// production path and the outputs are identical. Read by
-    /// [`sorp_solve`] and [`sorp_solve_priced`]; [`crate::shard_solve`]
-    /// runs the timeline only and panics on this flag.
-    pub use_reference_ledger: bool,
-    /// Disable the cross-iteration trial cache and the incremental
-    /// overflow monitor: every iteration re-detects every overflow with a
-    /// full scan and re-runs every participant's trial reschedule. Only
-    /// for equivalence testing and benchmarking — the cached solver is
-    /// the production path and the outputs are identical.
-    pub use_uncached_solver: bool,
 }
 
 impl Default for SorpConfig {
@@ -124,8 +112,6 @@ impl Default for SorpConfig {
             metric: HeatMetric::TimeSpacePerCost,
             max_iterations: 10_000,
             policy: GreedyPolicy::default(),
-            use_reference_ledger: false,
-            use_uncached_solver: false,
         }
     }
 }
@@ -415,9 +401,8 @@ fn select_victim(
 /// cache with its commit-delta history. [`SolveState::new`] +
 /// [`SolveState::resolve`] + [`SolveState::into_outcome`] compose to
 /// exactly the monolithic [`sorp_solve_priced`]; the sharded path
-/// instead resolves one state per shard, merges them (transplanting
-/// surviving trial-cache entries and bans), and resolves the merged
-/// state once more.
+/// instead resolves one state per shard, merges their schedules and
+/// bans, and resolves the merged state once more.
 pub(crate) struct SolveState {
     pub(crate) priced: PricedSchedule,
     pub(crate) ledger: StorageLedger,
@@ -446,14 +431,10 @@ impl SolveState {
     pub(crate) fn new(
         ctx: &SchedCtx<'_>,
         priced: PricedSchedule,
-        cfg: &SorpConfig,
         external: &[(NodeId, SpaceProfile)],
     ) -> Self {
         let initial_cost = priced.total();
         let mut ledger = StorageLedger::from_schedule(ctx.topo, ctx.catalog, priced.schedule());
-        if cfg.use_reference_ledger {
-            ledger.set_mode(LedgerMode::Reference);
-        }
         for (loc, profile) in external {
             ledger.add(*loc, EXTERNAL_OCCUPANCY, *profile);
         }
@@ -506,7 +487,20 @@ impl SolveState {
     /// returns immediately — which is how the sharded path's global pass
     /// degenerates to a no-op when the shards never conflicted.
     pub(crate) fn resolve(&mut self, ctx: &SchedCtx<'_>, cfg: &SorpConfig, mode: ExecMode) {
-        let cached = !cfg.use_uncached_solver;
+        self.resolve_loop(ctx, cfg, mode, true);
+    }
+
+    /// The resolution loop behind [`SolveState::resolve`]. With `cached`
+    /// false it is the pre-cache oracle of [`crate::oracle`]: every
+    /// iteration runs a full [`detect_overflows`] and a fresh trial for
+    /// every participant.
+    pub(crate) fn resolve_loop(
+        &mut self,
+        ctx: &SchedCtx<'_>,
+        cfg: &SorpConfig,
+        mode: ExecMode,
+        cached: bool,
+    ) {
         let cap = self.iterations + cfg.max_iterations;
         loop {
             let overflows = if cached {
@@ -671,34 +665,6 @@ impl SolveState {
         }
     }
 
-    /// Transplant another pass's surviving trial-cache entries and bans
-    /// into this state — the cross-shard handover. Entries arrive with
-    /// `epoch = 0`, so every one lazily re-validates against `deltas[0]`
-    /// (the merged occupancy footprint of all *other* shards recorded by
-    /// the caller) before its first reuse: an entry whose recorded
-    /// admission answers survive the foreign occupancy replays verbatim
-    /// and is reused without re-running the greedy; one that conflicts
-    /// is evicted by the standard lookup path. Bans are appended in call
-    /// order (deterministic across runs).
-    pub(crate) fn adopt(
-        &mut self,
-        cache: HashMap<VideoId, Vec<CachedTrial>>,
-        forbidden: HashMap<VideoId, Vec<(NodeId, Interval)>>,
-    ) -> usize {
-        let mut transplanted = 0;
-        for (vid, mut list) in cache {
-            for e in &mut list {
-                e.epoch = 0;
-            }
-            transplanted += list.len();
-            self.cache.entry(vid).or_default().extend(list);
-        }
-        for (vid, bans) in forbidden {
-            self.forbidden.entry(vid).or_default().extend(bans);
-        }
-        transplanted
-    }
-
     /// Finish the pass: cross-check the delta accounting once, re-detect
     /// overflows from scratch, and package the outcome.
     pub(crate) fn into_outcome(self, ctx: &SchedCtx<'_>) -> SorpOutcome {
@@ -746,7 +712,7 @@ pub fn sorp_solve_priced(
     external: &[(NodeId, SpaceProfile)],
     mode: ExecMode,
 ) -> SorpOutcome {
-    let mut state = SolveState::new(ctx, priced, cfg, external);
+    let mut state = SolveState::new(ctx, priced, external);
     state.resolve(ctx, cfg, mode);
     state.into_outcome(ctx)
 }
@@ -946,8 +912,13 @@ mod tests {
                 &[],
                 ExecMode::Sequential,
             );
-            let oracle_cfg = SorpConfig { use_reference_ledger: true, ..SorpConfig::default() };
-            let oracle = sorp_solve_priced(&ctx, priced, &oracle_cfg, &[], ExecMode::Sequential);
+            let oracle = crate::oracle::sorp_solve_reference_ledger(
+                &ctx,
+                priced,
+                &SorpConfig::default(),
+                &[],
+                ExecMode::Sequential,
+            );
             assert!(fast.resolved_anything(), "seed {seed}: nothing to resolve");
             assert!(
                 fast.schedule == oracle.schedule,

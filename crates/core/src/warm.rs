@@ -19,8 +19,8 @@
 //!
 //! * a carried trial is only ever consulted for a job whose request set
 //!   is **exactly** the one the entry was derived from (checked at
-//!   adoption time, the same request-invariance rule that makes the
-//!   sharded solver drop split videos' entries);
+//!   adoption time: the cache's request-invariance rule, which is also
+//!   why the sharded solver carries no entries of split videos);
 //! * every carried trial re-enters a solve at epoch 0 with the solve's
 //!   first [`crate::LedgerDelta`] covering both the previous cycle's
 //!   final ledger footprint ([`WarmState`] records it at harvest) and
@@ -177,7 +177,7 @@ pub struct WarmState {
     /// carried trial's last-known ledger held occupancy. Unioned into
     /// every new solve's first delta so validation covers occupancy
     /// *removals* as well as additions.
-    pub(crate) dirty: LedgerDelta,
+    dirty: LedgerDelta,
     /// Current cycle's accounting.
     pub stats: WarmStats,
 }
@@ -273,19 +273,17 @@ impl WarmState {
     pub(crate) fn seed_state(
         &mut self,
         state: &mut SolveState,
-        trials: HashMap<VideoId, Vec<CachedTrial>>,
+        mut trials: HashMap<VideoId, Vec<CachedTrial>>,
     ) {
-        debug_assert!(state.deltas.is_empty(), "seed_state must precede any commit");
+        debug_assert!(state.deltas.is_empty() && state.cache.is_empty(), "seed_state runs first");
         let mut delta = state.ledger.span_delta();
         delta.merge(&self.dirty);
         state.deltas = vec![delta];
-        let mut trials = trials;
-        for list in trials.values_mut() {
-            for e in list.iter_mut() {
-                e.carried = true;
-            }
+        for e in trials.values_mut().flatten() {
+            e.epoch = 0;
+            e.carried = true;
         }
-        state.adopt(trials, HashMap::new());
+        state.cache = trials;
     }
 
     /// Close the cycle: reclaim the final solve state's trial cache
@@ -296,11 +294,9 @@ impl WarmState {
         self.stats.trials_revalidated += state.carried_revalidated;
         self.stats.trials_hit += state.trials_cached;
         self.dirty = state.ledger.span_delta();
-        for (vid, list) in state.cache.drain() {
-            // Replaces any leftover entries for the video: the solve's
-            // final cache is strictly fresher.
-            self.trials.insert(vid, list);
-        }
+        // Replaces any leftover entries for a video: the solve's final
+        // cache is strictly fresher.
+        self.trials.extend(state.cache.drain());
     }
 
     /// Commit the cycle's resolved schedule into the book so later

@@ -1,17 +1,22 @@
 //! Property tests for the conflict-scoped SORP solver: across random
-//! topologies, workloads, heat metrics, execution modes, and ledger
-//! modes, the cached solver (cross-iteration trial cache + incremental
-//! overflow monitor) must be **bit-identical** to the uncached oracle —
-//! same schedule, same cost bits, same victims, same iteration count —
-//! and its counters must reconcile: every materialized trial job is
-//! either run or answered from the cache.
+//! topologies, workloads, heat metrics, and execution modes, the cached
+//! solver (cross-iteration trial cache + incremental overflow monitor)
+//! must be **bit-identical** to the uncached oracle
+//! ([`oracle::sorp_solve_uncached`]) — same schedule, same cost bits,
+//! same victims, same iteration count — and its counters must
+//! reconcile: every materialized trial job is either run or answered
+//! from the cache. Scenarios that draw the reference ledger also check
+//! it against [`oracle::sorp_solve_reference_ledger`].
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use vod_core::{
-    ivsp_solve_priced, sorp_solve_priced, ExecMode, HeatMetric, SchedCtx, SorpConfig, SorpOutcome,
+    ivsp_solve_priced, oracle, sorp_solve_priced, ExecMode, HeatMetric, PricedSchedule, SchedCtx,
+    SorpConfig, SorpOutcome,
 };
 use vod_cost_model::CostModel;
+use vod_cost_model::SpaceProfile;
+use vod_topology::NodeId;
 use vod_topology::{builders, Topology};
 use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
@@ -85,16 +90,20 @@ fn build_topo(s: &Scenario) -> Topology {
     }
 }
 
-fn solve(ctx: &SchedCtx<'_>, wl: &Workload, s: &Scenario, uncached: bool) -> SorpOutcome {
-    let cfg = SorpConfig {
-        metric: s.metric,
-        max_iterations: s.max_iterations,
-        use_reference_ledger: s.reference_ledger,
-        use_uncached_solver: uncached,
-        ..Default::default()
-    };
+/// The signature the fast path and both oracles share.
+type Solver = fn(
+    &SchedCtx<'_>,
+    PricedSchedule,
+    &SorpConfig,
+    &[(NodeId, SpaceProfile)],
+    ExecMode,
+) -> SorpOutcome;
+
+fn solve(ctx: &SchedCtx<'_>, wl: &Workload, s: &Scenario, solver: Solver) -> SorpOutcome {
+    let cfg =
+        SorpConfig { metric: s.metric, max_iterations: s.max_iterations, ..Default::default() };
     let mode = if s.parallel { ExecMode::Parallel } else { ExecMode::Sequential };
-    sorp_solve_priced(ctx, ivsp_solve_priced(ctx, &wl.requests), &cfg, &[], mode)
+    solver(ctx, ivsp_solve_priced(ctx, &wl.requests), &cfg, &[], mode)
 }
 
 /// Field-by-field bit equality of the two outcomes' decisions.
@@ -117,6 +126,36 @@ fn assert_bit_identical(cached: &SorpOutcome, oracle: &SorpOutcome) -> Result<()
     Ok(())
 }
 
+/// Equality with the reference-ledger oracle. Every decision (schedule,
+/// cost bits, iterations, which video leaves which storage, in which
+/// order) and every work counter must match exactly. The oracle locates
+/// overflow boundaries with its own arithmetic (a segment's left limit
+/// recovered from its midpoint), so a victim's window and heat may
+/// differ from the timeline's in the last bits: those agree to 1e-9
+/// relative.
+fn assert_same_decisions(
+    cached: &SorpOutcome,
+    reference: &SorpOutcome,
+) -> Result<(), TestCaseError> {
+    let close = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+    prop_assert!(cached.schedule == reference.schedule, "schedules diverged");
+    prop_assert_eq!(cached.cost.to_bits(), reference.cost.to_bits());
+    prop_assert_eq!(cached.iterations, reference.iterations);
+    prop_assert_eq!(cached.overflow_free, reference.overflow_free);
+    prop_assert_eq!(cached.forced_fallbacks, reference.forced_fallbacks);
+    prop_assert_eq!(cached.trials_run, reference.trials_run);
+    prop_assert_eq!(cached.trials_cached, reference.trials_cached);
+    prop_assert_eq!(cached.nodes_rescanned, reference.nodes_rescanned);
+    prop_assert_eq!(cached.victims.len(), reference.victims.len());
+    for (a, b) in cached.victims.iter().zip(&reference.victims) {
+        prop_assert_eq!((a.video, a.loc), (b.video, b.loc));
+        prop_assert_eq!(a.overhead.to_bits(), b.overhead.to_bits());
+        prop_assert!(close(a.window_start, b.window_start) && close(a.window_end, b.window_end));
+        prop_assert!(close(a.heat, b.heat), "heat {} vs {}", a.heat, b.heat);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -124,7 +163,8 @@ proptest! {
     /// oracle's, and the trial counters reconcile: both paths
     /// materialize the same jobs (they take identical decisions), the
     /// oracle runs every one, and the cached path runs + caches exactly
-    /// that many.
+    /// that many. When the scenario draws the reference ledger, the
+    /// reference-ledger oracle takes the same decisions too.
     #[test]
     fn cached_sorp_is_bit_identical_to_uncached(s in scenario_strategy()) {
         let topo = build_topo(&s);
@@ -137,9 +177,13 @@ proptest! {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
 
-        let cached = solve(&ctx, &wl, &s, false);
-        let oracle = solve(&ctx, &wl, &s, true);
+        let cached = solve(&ctx, &wl, &s, sorp_solve_priced);
+        let oracle = solve(&ctx, &wl, &s, oracle::sorp_solve_uncached);
         assert_bit_identical(&cached, &oracle)?;
+        if s.reference_ledger {
+            let reference = solve(&ctx, &wl, &s, oracle::sorp_solve_reference_ledger);
+            assert_same_decisions(&cached, &reference)?;
+        }
 
         // Counter reconciliation: the oracle never caches, and its
         // trials_run is the total job count of the (identical) run.
@@ -149,7 +193,7 @@ proptest! {
         prop_assert!(cached.nodes_rescanned <= oracle.nodes_rescanned);
 
         // Determinism of the cached path itself.
-        let again = solve(&ctx, &wl, &s, false);
+        let again = solve(&ctx, &wl, &s, sorp_solve_priced);
         assert_bit_identical(&again, &cached)?;
         prop_assert_eq!(again.trials_run, cached.trials_run);
         prop_assert_eq!(again.trials_cached, cached.trials_cached);
@@ -177,8 +221,8 @@ fn cache_and_monitor_actually_save_work_on_the_paper_instance() {
         reference_ledger: false,
         max_iterations: 10_000,
     };
-    let cached = solve(&ctx, &wl, &s, false);
-    let oracle = solve(&ctx, &wl, &s, true);
+    let cached = solve(&ctx, &wl, &s, sorp_solve_priced);
+    let oracle = solve(&ctx, &wl, &s, oracle::sorp_solve_uncached);
     assert!(cached.iterations > 1, "instance too easy to exercise the cache");
     assert!(cached.trials_cached > 0, "no trial was ever answered from the cache");
     assert!(

@@ -185,7 +185,13 @@ fn main() -> ExitCode {
                     None => vod_obs::Recorder::disabled(),
                 };
                 let sp = service::ServiceParams::default();
-                let (r, _, _) = service::service_horizon(&params, n, &sp, &recorder);
+                let (r, _, _) = match service::service_horizon(&params, n, &sp, &recorder) {
+                    Ok(run) => run,
+                    Err(e) => {
+                        eprintln!("cycles: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                };
                 println!("{}", r.render());
                 if let Some(path) = &record {
                     if let Err(e) = write_recording(path, &recorder) {
@@ -214,7 +220,13 @@ fn main() -> ExitCode {
                     Some(_) => vod_obs::Recorder::enabled(),
                     None => vod_obs::Recorder::disabled(),
                 };
-                let (r, report, _) = service::service_horizon(&params, n, &sp, &recorder);
+                let (r, report, _) = match service::service_horizon(&params, n, &sp, &recorder) {
+                    Ok(run) => run,
+                    Err(e) => {
+                        eprintln!("service: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                };
                 println!("{}", r.render());
                 println!("{}", report.render());
                 if let Some(path) = &record {

@@ -255,7 +255,7 @@ mod tests {
     }
 
     fn warm_run(params: &EnvParams, n_cycles: usize, sp: &ServiceParams) -> RollingOutcome {
-        service_horizon(params, n_cycles, sp, &Recorder::disabled()).0
+        service_horizon(params, n_cycles, sp, &Recorder::disabled()).expect("valid config").0
     }
 
     fn monolithic() -> ServiceParams {

@@ -16,7 +16,8 @@ use crate::cycles::{CycleReport, RollingOutcome};
 use crate::EnvParams;
 use serde::{Deserialize, Serialize};
 use vod_core::{
-    service_run, ExecMode, SchedCtx, ServiceConfig, ServiceCycleOutcome, ServiceReport, ShardConfig,
+    service_run, ExecMode, SchedCtx, ServiceConfig, ServiceConfigError, ServiceCycleOutcome,
+    ServiceReport, ShardConfig,
 };
 use vod_cost_model::{Catalog, CostModel, Secs};
 use vod_topology::Topology;
@@ -94,13 +95,14 @@ pub(crate) fn arrival_trace(
 /// attached to the scheduling context, so every cycle's rung, intake,
 /// warm-start, shard solve, and repair decision lands in the recording,
 /// in simulated time; pass [`vod_obs::Recorder::disabled`] for the
-/// no-op path.
+/// no-op path. Fails when `sp` makes a configuration
+/// [`vod_core::ServiceLoop::new`] rejects (a NaN or negative budget).
 pub fn service_horizon(
     params: &EnvParams,
     n_cycles: usize,
     sp: &ServiceParams,
     recorder: &vod_obs::Recorder,
-) -> (RollingOutcome, ServiceReport, Vec<ServiceCycleOutcome>) {
+) -> Result<(RollingOutcome, ServiceReport, Vec<ServiceCycleOutcome>), ServiceConfigError> {
     assert!(n_cycles >= 1, "need at least one cycle");
     let (topo, _) = params.build();
     let catalog = service_catalog(params);
@@ -122,10 +124,9 @@ pub fn service_horizon(
         faults,
         ..ServiceConfig::default()
     };
-    let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, n_cycles, ExecMode::default())
-        .expect("a generated fault plan validates by construction");
+    let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, n_cycles, ExecMode::default())?;
     let cycles = outcomes.iter().map(CycleReport::from_outcome).collect();
-    (RollingOutcome { cycles }, report, outcomes)
+    Ok((RollingOutcome { cycles }, report, outcomes))
 }
 
 #[cfg(test)]
@@ -144,7 +145,8 @@ mod tests {
         let params = cheap_params();
         let sp = ServiceParams::default();
         let cold = cold_horizon(&params, 3, &sp);
-        let (svc, report, _) = service_horizon(&params, 3, &sp, &Recorder::disabled());
+        let (svc, report, _) =
+            service_horizon(&params, 3, &sp, &Recorder::disabled()).expect("valid config");
         assert_eq!(report.conservation_error(), 0);
         assert_eq!(report.shed_events, 0);
         for (a, b) in svc.cycles.iter().zip(&cold.cycles) {
@@ -160,7 +162,8 @@ mod tests {
         let params = cheap_params();
         // Arrivals stop after cycle 0; cycles 1–2 are idle service ticks.
         let sp = ServiceParams { trace_cycles: Some(1), ..ServiceParams::default() };
-        let (out, report, _) = service_horizon(&params, 3, &sp, &Recorder::disabled());
+        let (out, report, _) =
+            service_horizon(&params, 3, &sp, &Recorder::disabled()).expect("valid config");
         assert_eq!(out.cycles[1].requests, 0, "cycle 1 must be idle");
         assert_eq!(report.cycles.len(), 3);
         let text = out.render();
@@ -182,7 +185,8 @@ mod tests {
             burst: vec![(1, 4)],
             ..ServiceParams::default()
         };
-        let (out, report, _) = service_horizon(&params, 3, &sp, &Recorder::disabled());
+        let (out, report, _) =
+            service_horizon(&params, 3, &sp, &Recorder::disabled()).expect("valid config");
         assert!(report.cycles.iter().any(|c| c.rung != Rung::Full), "budget never engaged");
         assert_eq!(report.conservation_error(), 0);
         for c in &out.cycles {

@@ -91,6 +91,24 @@ if grep -rn --include='*.rs' -E 'pub fn [A-Za-z0-9_]+_(seeded|warm|with_mode|tra
   exit 1
 fi
 
+echo "==> oracle lint (reference solvers stay out of configs and shipping code)"
+# The reference solvers live in vod_core::oracle, selected by calling
+# them, never by a config switch; shipping code never calls them.
+if grep -rn --include='*.rs' -E 'use_reference_ledger|use_uncached_solver' crates src tests; then
+  echo "error: oracle switches are gone from the configs; call vod_core::oracle instead" >&2
+  exit 1
+fi
+# In-file `#[cfg(test)]` modules (at the end of each file) are tests.
+hits="$(find crates/*/src -name '*.rs' \
+    ! -path crates/core/src/oracle.rs ! -path crates/core/src/lib.rs \
+    -exec awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+               live && /oracle::/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "error: shipping code must not call vod_core::oracle (tests and benches may)" >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

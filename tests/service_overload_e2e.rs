@@ -5,7 +5,10 @@
 //! shedding, zero-loss accounting, and strict replay of whatever each
 //! cycle actually committed.
 
-use vod_paradigm::core::{service_run, BackoffPolicy, ExecMode, Rung, SchedCtx, ServiceConfig};
+use vod_paradigm::core::{
+    service_run, BackoffPolicy, ExecMode, Rung, SchedCtx, ServiceConfig, ServiceConfigError,
+    ServiceLoop,
+};
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{check_service_accounting, cycle_is_clean, replay_service_cycle};
 use vod_paradigm::workload::{generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig};
@@ -150,4 +153,27 @@ fn bounced_releases_keep_the_accounting_exact() {
     assert!(report.bounced > 0, "no release met a full queue; the check never engaged");
     let complaints = check_service_accounting(&report);
     assert!(complaints.is_empty(), "accounting cross-check failed: {complaints:?}");
+}
+
+/// A NaN or negative budget used to fall through every rung test and
+/// shed every request; a non-positive horizon used to panic. Both are
+/// now typed configuration errors.
+#[test]
+fn malformed_budget_saturation_and_horizon_are_typed_errors() {
+    let (topo, _) = world(5);
+    let open = |cfg: ServiceConfig| ServiceLoop::new(&topo, cfg).map(|_| ()).unwrap_err();
+    let budget = |b: f64| ServiceConfig { budget_ns: Some(b), ..ServiceConfig::default() };
+    assert!(matches!(open(budget(f64::NAN)), ServiceConfigError::BadBudget(b) if b.is_nan()));
+    assert_eq!(open(budget(-5.0)), ServiceConfigError::BadBudget(-5.0));
+    let sat = |x: f64| ServiceConfig { saturation_bytes: Some(x), ..ServiceConfig::default() };
+    assert!(matches!(open(sat(f64::NAN)), ServiceConfigError::BadSaturation(x) if x.is_nan()));
+    assert_eq!(open(sat(-1.0)), ServiceConfigError::BadSaturation(-1.0));
+    for h in [0.0, -H, f64::INFINITY, f64::NAN] {
+        let err = open(ServiceConfig { horizon: h, ..ServiceConfig::default() });
+        assert!(matches!(err, ServiceConfigError::BadHorizon(_)), "horizon {h}: {err}");
+    }
+    // A zero budget (shed everything) and a zero saturation limit
+    // (admit nothing) are legal.
+    assert!(ServiceLoop::new(&topo, budget(0.0)).is_ok());
+    assert!(ServiceLoop::new(&topo, sat(0.0)).is_ok());
 }

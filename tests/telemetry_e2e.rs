@@ -27,7 +27,8 @@ fn recorded_run() -> (RollingOutcome, ServiceReport, Vec<vod_core::ServiceCycleO
         ..service::ServiceParams::default()
     };
     let recorder = Recorder::enabled();
-    let (outcome, report, cycles) = service::service_horizon(&params, N_CYCLES, &sp, &recorder);
+    let (outcome, report, cycles) =
+        service::service_horizon(&params, N_CYCLES, &sp, &recorder).expect("valid config");
     let recording = recorder.recording().expect("recorder is enabled");
     (outcome, report, cycles, recording)
 }
@@ -169,7 +170,8 @@ fn replay_events_validate_every_cycle() {
         ..service::ServiceParams::default()
     };
     let recorder = Recorder::enabled();
-    let (_, _, cycles) = service::service_horizon(&params, 3, &sp, &recorder);
+    let (_, _, cycles) =
+        service::service_horizon(&params, 3, &sp, &recorder).expect("valid config");
 
     let (topo, _) = params.build();
     let catalog = service::service_catalog(&params);
