@@ -7,9 +7,21 @@
 //! batch size — the wall-clock curve should bend toward linear while
 //! the oracle grows super-quadratically.
 //!
+//! Two arms share the topology:
+//!
+//! * `round_robin` truncates one Zipf workload to the first `n`
+//!   arrivals round-robin across titles, so the hottest titles' request
+//!   counts grow with the batch (136 requests for the largest title at
+//!   `n` = 2000);
+//! * `fixed_per_title` holds every title at exactly [`PER_TITLE`]
+//!   requests and grows the batch by adding titles, so per-title work
+//!   stays flat and only the number of conflicting videos grows.
+//!
 //! Besides the criterion report, the bench asserts both solvers produce
-//! bit-identical schedules at every size and writes a machine-readable
-//! summary (median ns per solve, speedups, and the work counters) to
+//! bit-identical schedules at every size of both arms and writes a
+//! machine-readable summary (median ns per solve — the cached solver in
+//! the default and the sequential [`ExecMode`], the oracle in the
+//! default — speedups, and the work counters) to
 //! `results/BENCH_sorp.json`. In `--test` smoke mode everything runs once
 //! and the measured JSON artifact is left untouched.
 
@@ -18,9 +30,15 @@ use std::time::Instant;
 use vod_core::{
     ivsp_solve_priced, oracle, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig, SorpOutcome,
 };
-use vod_cost_model::{CostModel, Request, RequestBatch};
+use vod_cost_model::{CostModel, Request, RequestBatch, VideoId};
 use vod_topology::{builders, Topology};
 use vod_workload::{CatalogConfig, RequestConfig, Workload};
+
+/// Batch sizes of both arms.
+const SIZES: [usize; 4] = [100, 500, 1000, 2000];
+
+/// Requests per title in the `fixed_per_title` arm.
+const PER_TITLE: usize = 8;
 
 fn world() -> (Topology, Workload) {
     // A production-shaped instance rather than the paper's 19-storage
@@ -69,9 +87,35 @@ fn truncated(wl: &Workload, n: usize) -> RequestBatch {
     RequestBatch::new(all)
 }
 
-fn solve(ctx: &SchedCtx<'_>, batch: &RequestBatch, uncached: bool) -> SorpOutcome {
+/// The `fixed_per_title` arm's workload: the `round_robin` request
+/// rate and seed over a 256-title catalog (enough titles for 2000
+/// requests at [`PER_TITLE`] each). Only its arrival times and users
+/// are used; [`fixed_per_title`] assigns the titles.
+fn fixed_world(topo: &Topology) -> Workload {
+    Workload::generate(
+        topo,
+        &CatalogConfig::small(256),
+        &RequestConfig { requests_per_user: 21, ..RequestConfig::paper() },
+        0x50_12,
+    )
+}
+
+fn fixed_per_title(wl: &Workload, n: usize) -> RequestBatch {
+    // `n` arrivals spread evenly over the day, dealt round-robin in time
+    // order to `n / PER_TITLE` titles: every title gets exactly
+    // PER_TITLE requests spread over the whole day, whatever `n` is.
+    let mut all: Vec<Request> = wl.requests.iter().copied().collect();
+    all.sort_by(|a, b| a.start.total_cmp(&b.start));
+    let titles = n / PER_TITLE;
+    let picked = (0..titles * PER_TITLE)
+        .map(|i| Request { video: VideoId((i % titles) as u32), ..all[i * all.len() / n] })
+        .collect();
+    RequestBatch::new(picked)
+}
+
+fn solve(ctx: &SchedCtx<'_>, batch: &RequestBatch, uncached: bool, mode: ExecMode) -> SorpOutcome {
     let solver = if uncached { oracle::sorp_solve_uncached } else { sorp_solve_priced };
-    solver(ctx, ivsp_solve_priced(ctx, batch), &SorpConfig::default(), &[], ExecMode::default())
+    solver(ctx, ivsp_solve_priced(ctx, batch), &SorpConfig::default(), &[], mode)
 }
 
 /// Median ns per call of `f` over `samples` runs (1 in smoke mode).
@@ -88,8 +132,11 @@ fn measure<F: FnMut()>(mut f: F, samples: usize) -> f64 {
 }
 
 struct Row {
+    arm: &'static str,
     requests: usize,
+    largest_title: usize,
     cached_ns: f64,
+    cached_seq_ns: f64,
     uncached_ns: f64,
     iterations: usize,
     trials_run: usize,
@@ -108,12 +155,16 @@ fn emit_json(rows: &[Row], smoke: bool) {
     body.push_str("  \"smoke\": false,\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         body.push_str(&format!(
-            "    {{\"requests\": {}, \"cached_ns\": {:.0}, \"uncached_ns\": {:.0}, \
+            "    {{\"arm\": \"{}\", \"requests\": {}, \"largest_title\": {}, \
+             \"cached_ns\": {:.0}, \"cached_seq_ns\": {:.0}, \"uncached_ns\": {:.0}, \
              \"speedup\": {:.2}, \"iterations\": {}, \"trials_run\": {}, \
              \"trials_cached\": {}, \"nodes_rescanned\": {}, \
              \"uncached_trials_run\": {}, \"uncached_nodes_rescanned\": {}}}{}\n",
+            r.arm,
             r.requests,
+            r.largest_title,
             r.cached_ns,
+            r.cached_seq_ns,
             r.uncached_ns,
             r.uncached_ns / r.cached_ns.max(1e-9),
             r.iterations,
@@ -131,75 +182,96 @@ fn emit_json(rows: &[Row], smoke: bool) {
     }
 }
 
+/// Gate and time one batch of one arm.
+fn run_size(
+    c: &mut Criterion,
+    ctx: &SchedCtx<'_>,
+    arm: &'static str,
+    batch: &RequestBatch,
+    smoke: bool,
+) -> Row {
+    let n = batch.len();
+
+    // Bit-identicality cross-check at every measured size — the
+    // cached solver must be a pure speedup, never a different answer.
+    let cached = solve(ctx, batch, false, ExecMode::default());
+    let uncached = solve(ctx, batch, true, ExecMode::default());
+    assert!(cached.schedule == uncached.schedule, "{arm}: schedules diverged at n = {n}");
+    assert_eq!(cached.cost.to_bits(), uncached.cost.to_bits(), "{arm}: costs diverged at n = {n}");
+    assert_eq!(cached.iterations, uncached.iterations, "{arm}: iterations diverged at n = {n}");
+    assert!(cached.overflow_free, "{arm}: bench instance must resolve at n = {n}");
+
+    let mut g = c.benchmark_group(&format!("sorp/{arm}/{n}"));
+    g.sample_size(10);
+    g.bench_function("cached", |b| b.iter(|| solve(ctx, batch, false, ExecMode::default())));
+    g.bench_function("uncached", |b| b.iter(|| solve(ctx, batch, true, ExecMode::default())));
+    g.finish();
+
+    // The oracle's cost grows super-quadratically; keep its sample
+    // count small at the large sizes so the bench stays tractable.
+    let samples = if smoke {
+        1
+    } else if n >= 1000 {
+        5
+    } else {
+        15
+    };
+    let timed = |uncached: bool, mode: ExecMode| {
+        measure(
+            || {
+                std::hint::black_box(solve(ctx, batch, uncached, mode).cost);
+            },
+            samples,
+        )
+    };
+    let cached_ns = timed(false, ExecMode::default());
+    let cached_seq_ns = timed(false, ExecMode::Sequential);
+    let uncached_ns = timed(true, ExecMode::default());
+    let largest_title = batch.groups().map(|(_, g)| g.len()).max().unwrap_or(0);
+    eprintln!(
+        "sorp/{arm}/{n}: cached {:.1} ms ({:.1} ms sequential) vs uncached {:.1} ms ({:.2}x), \
+         largest title {largest_title}, {} iterations, {}/{} trials answered from cache, \
+         {}/{} nodes rescanned",
+        cached_ns / 1e6,
+        cached_seq_ns / 1e6,
+        uncached_ns / 1e6,
+        uncached_ns / cached_ns.max(1e-9),
+        cached.iterations,
+        cached.trials_cached,
+        uncached.trials_run,
+        cached.nodes_rescanned,
+        uncached.nodes_rescanned,
+    );
+    Row {
+        arm,
+        requests: n,
+        largest_title,
+        cached_ns,
+        cached_seq_ns,
+        uncached_ns,
+        iterations: cached.iterations,
+        trials_run: cached.trials_run,
+        trials_cached: cached.trials_cached,
+        nodes_rescanned: cached.nodes_rescanned,
+        uncached_trials_run: uncached.trials_run,
+        uncached_nodes_rescanned: uncached.nodes_rescanned,
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let smoke = std::env::args().any(|a| a == "--test");
     let (topo, wl) = world();
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
     let mut rows = Vec::new();
+    for n in SIZES {
+        rows.push(run_size(c, &ctx, "round_robin", &truncated(&wl, n), smoke));
+    }
 
-    for &n in &[100usize, 500, 1000, 2000] {
-        let batch = truncated(&wl, n);
-
-        // Bit-identicality cross-check at every measured size — the
-        // cached solver must be a pure speedup, never a different answer.
-        let cached = solve(&ctx, &batch, false);
-        let uncached = solve(&ctx, &batch, true);
-        assert!(cached.schedule == uncached.schedule, "schedules diverged at n = {n}");
-        assert_eq!(cached.cost.to_bits(), uncached.cost.to_bits(), "costs diverged at n = {n}");
-        assert_eq!(cached.iterations, uncached.iterations, "iterations diverged at n = {n}");
-        assert!(cached.overflow_free, "bench instance must resolve at n = {n}");
-
-        let mut g = c.benchmark_group(&format!("sorp/{n}"));
-        g.sample_size(10);
-        g.bench_function("cached", |b| b.iter(|| solve(&ctx, &batch, false)));
-        g.bench_function("uncached", |b| b.iter(|| solve(&ctx, &batch, true)));
-        g.finish();
-
-        // The oracle's cost grows super-quadratically; keep its sample
-        // count small at the large sizes so the bench stays tractable.
-        let samples = if smoke {
-            1
-        } else if n >= 1000 {
-            5
-        } else {
-            15
-        };
-        let cached_ns = measure(
-            || {
-                std::hint::black_box(solve(&ctx, &batch, false).cost);
-            },
-            samples,
-        );
-        let uncached_ns = measure(
-            || {
-                std::hint::black_box(solve(&ctx, &batch, true).cost);
-            },
-            samples,
-        );
-        eprintln!(
-            "sorp/{n}: cached {:.1} ms vs uncached {:.1} ms ({:.2}x), {} iterations, \
-             {}/{} trials answered from cache, {}/{} nodes rescanned",
-            cached_ns / 1e6,
-            uncached_ns / 1e6,
-            uncached_ns / cached_ns.max(1e-9),
-            cached.iterations,
-            cached.trials_cached,
-            uncached.trials_run,
-            cached.nodes_rescanned,
-            uncached.nodes_rescanned,
-        );
-        rows.push(Row {
-            requests: n,
-            cached_ns,
-            uncached_ns,
-            iterations: cached.iterations,
-            trials_run: cached.trials_run,
-            trials_cached: cached.trials_cached,
-            nodes_rescanned: cached.nodes_rescanned,
-            uncached_trials_run: uncached.trials_run,
-            uncached_nodes_rescanned: uncached.nodes_rescanned,
-        });
+    let fixed = fixed_world(&topo);
+    let ctx = SchedCtx::new(&topo, &model, &fixed.catalog);
+    for n in SIZES {
+        rows.push(run_size(c, &ctx, "fixed_per_title", &fixed_per_title(&fixed, n), smoke));
     }
 
     emit_json(&rows, smoke);

@@ -94,8 +94,10 @@ pub struct AdmissionCheck {
 /// Invariant relied on by SORP's cache validation: every check with
 /// `fits == None` is either rejected by the forbidden windows the trace
 /// is currently bound to, or sits at an infinite-capacity storage — in
-/// both cases ledger-independent — and every other check's support is
-/// covered by `footprint`. [`LedgerCursor::record_admission`] establishes
+/// both cases ledger-independent — and every other check is unbanned
+/// under those windows, carries a capacity sub-verdict that is current
+/// as of the trace's last validation, and has its support covered by
+/// `footprint`. [`LedgerCursor::record_admission`] establishes
 /// it at trial time; [`crate::Constraints::rebind_trace`] restores it
 /// when a cached trace is revalidated under different forbidden windows.
 #[derive(Clone, Debug, Default)]
@@ -104,7 +106,9 @@ pub struct TrialTrace {
     /// support (checks with `fits == None` are ledger-independent and
     /// contribute nothing).
     pub footprint: Vec<(NodeId, Secs, Secs)>,
-    /// Every admission test, in execution order.
+    /// Every admission test, in execution order. A dead cache (see
+    /// [`crate::reschedule_video`]) contributes its first failing test
+    /// and nothing after it.
     pub checks: Vec<AdmissionCheck>,
 }
 

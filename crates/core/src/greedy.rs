@@ -24,12 +24,29 @@
 //! *forbidden* `(storage, interval)` — the overflow being resolved.
 //! Serving directly from the warehouse is always admissible, so the
 //! rejective greedy always produces a feasible schedule.
+//!
+//! **Dead caches.** Once the extension of a cache fails admission, the
+//! rejective greedy marks the cache *dead* and stops offering it as a
+//! source for the rest of the video. It stays in place, so it still
+//! blocks a new cache at its node. The skip leaves the schedule
+//! unchanged. The ledger and the bans are fixed for the whole
+//! reschedule, and a failed cache is never extended again, so every
+//! later test of it is a test of a *longer* stay from the same start.
+//! By Eqs. 6/7 a longer stay only grows the profile: γ = min((t_f −
+//! t_s)/P, 1) and the drain end t_f + P both grow with t_f, so the new
+//! profile is pointwise at least as large and its support contains the
+//! old one. It therefore overlaps every forbidden window the failed test
+//! did and overflows wherever the failed test did. Skipping it saves the
+//! admission tests that dominated SORP's trials: in the `sorp_scaling`
+//! bench world at 2,000 requests, 98% of extension tests re-tested a
+//! dead cache. A `debug_assert!` re-runs each skipped test, so debug
+//! builds check the argument in float arithmetic too.
 
 use crate::{
     AdmissionCheck, Interval, LedgerCursor, LedgerDelta, SchedCtx, StorageLedger, TrialTrace,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use vod_cost_model::{
     Dollars, Request, RequestBatch, Residency, Schedule, Secs, SpaceProfile, Transfer, Video,
     VideoId, VideoSchedule,
@@ -179,24 +196,34 @@ impl Constraints<'_> {
     }
 
     /// Rebind a trace whose every check was just verified (via
-    /// [`Constraints::check_replays`]) to *these* forbidden windows. A
-    /// check recorded as ban-rejected (`fits == None`, finite capacity)
-    /// that is no longer banned has just had its capacity sub-verdict
-    /// derived from the ledger by the successful replay — it answered
-    /// exactly `verdict`, or the replay would have failed — so the
-    /// dependency is materialized (`fits = Some(verdict)`) and its
-    /// support unioned into the ledger footprint. This restores the
-    /// [`TrialTrace`] invariant that makes later fast-path validations
-    /// sound: every `fits == None` check is ledger-independent *under
-    /// the bans the trace is bound to*, and every other check is covered
-    /// by the footprint.
+    /// [`Constraints::check_replays`]) to *these* forbidden windows. Two
+    /// kinds of check change class:
+    ///
+    /// * one recorded as ban-rejected (`fits == None`, finite capacity)
+    ///   that is no longer banned has just had its capacity sub-verdict
+    ///   derived from the ledger by the successful replay — it answered
+    ///   exactly `verdict`, or the replay would have failed — so the
+    ///   dependency is materialized (`fits = Some(verdict)`) and its
+    ///   support unioned into the ledger footprint;
+    /// * one that *is* banned now was answered by the ban alone, so its
+    ///   recorded sub-verdict was not re-derived and may already be
+    ///   stale against the current ledger. It drops to `fits = None`.
+    ///   Kept, the stale sub-verdict would be trusted as current once
+    ///   the entry's epoch moved past the mutation that flipped it, and
+    ///   a later job whose bans no longer cover the check would reuse a
+    ///   wrong answer.
+    ///
+    /// This restores the [`TrialTrace`] invariant that makes later
+    /// fast-path validations sound: every `fits == None` check is
+    /// ledger-independent *under the bans the trace is bound to*, and
+    /// every `Some(v)` check is unbanned under them, has `v` current as
+    /// of the entry's epoch, and is covered by the footprint.
     pub fn rebind_trace(&self, topo: &Topology, trace: &mut TrialTrace) {
         for i in 0..trace.checks.len() {
             let c = trace.checks[i];
-            if c.fits.is_none()
-                && topo.capacity(c.loc).is_finite()
-                && !self.banned(c.loc, &c.candidate)
-            {
+            if self.banned(c.loc, &c.candidate) {
+                trace.checks[i].fits = None;
+            } else if c.fits.is_none() && topo.capacity(c.loc).is_finite() {
                 trace.checks[i].fits = Some(c.verdict);
                 trace.record_footprint(c.loc, c.candidate.start, c.candidate.end);
             }
@@ -259,7 +286,10 @@ pub fn ivsp_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Schedule {
 /// [`GreedyPolicy`] — SORP trials resolve overflows under the same
 /// policy phase 1 scheduled with (e.g. the neighborhood-local regime
 /// the sharded solver's Ψ-equality contract relies on). Always
-/// succeeds — direct warehouse delivery needs no storage.
+/// succeeds — direct warehouse delivery needs no storage. A cache whose
+/// extension fails admission is dead for the rest of the video: it is
+/// no longer tested or offered as a source (see the module doc for why
+/// that leaves the schedule unchanged).
 pub fn reschedule_video(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
@@ -318,6 +348,10 @@ fn greedy_with_cursor(
 
     // Active caches, keyed by hosting storage for deterministic iteration.
     let mut caches: BTreeMap<NodeId, Residency> = BTreeMap::new();
+    // Caches whose extension failed admission: dead as sources for the
+    // rest of the video (see the module doc), but still occupying their
+    // node against a new cache.
+    let mut dead: BTreeSet<NodeId> = BTreeSet::new();
     let mut schedule = VideoSchedule::new(vid);
 
     for req in requests {
@@ -342,9 +376,22 @@ fn greedy_with_cursor(
             // Cost and admissibility of extending the source copy to serve
             // at req.start.
             let ext = match caches.get(&src) {
+                Some(r) if dead.contains(&src) => {
+                    debug_assert!(
+                        extension(ctx, video, r, req.start, constraints, &mut LedgerCursor::new())
+                            .is_none(),
+                        "dead cache at {src} admits a later extension"
+                    );
+                    continue;
+                }
                 Some(r) => match extension(ctx, video, r, req.start, constraints, cursor) {
                     Some(cost) => cost,
-                    None => continue, // extension inadmissible: skip source
+                    None => {
+                        // Extension inadmissible: skip the source, now and
+                        // for every later request.
+                        dead.insert(src);
+                        continue;
+                    }
                 },
                 None => 0.0,
             };
@@ -742,6 +789,42 @@ mod tests {
         let a = ctx.video_cost(&find_video_schedule(&ctx, &fig2_requests()));
         let b = ctx.video_cost(&greedy(&ctx, &fig2_requests(), None, plain));
         assert!(a <= b + 1e-6, "default tie-break lost: {a} vs {b}");
+    }
+
+    #[test]
+    fn rebinding_to_a_ban_forgets_the_unverified_capacity_verdict() {
+        // A check that failed on capacity, then replayed under a ban
+        // that covers it while the blocking occupancy left, must not
+        // later replay under bans that no longer cover it: the ledger
+        // now admits it.
+        let (topo, catalog) = fig2();
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let is1 = NodeId(1);
+        let candidate = SpaceProfile::new(T1, T2, units::gb(2.5), units::minutes(90.0));
+        let mut ledger = StorageLedger::new(&topo);
+        let blocker = SpaceProfile::new(0.0, 1e6, units::gb(5.0), units::minutes(90.0));
+        ledger.add(is1, VideoId(9), blocker);
+        let unbanned = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &[] };
+        let mut cursor = LedgerCursor::tracing();
+        assert!(!unbanned.admits(&ctx, is1, &candidate, &mut cursor));
+        let mut trace = cursor.take_trace();
+        assert_eq!(trace.checks[0].fits, Some(false));
+
+        let mut dirty = LedgerDelta::new();
+        ledger.remove_tracked(is1, VideoId(9), &mut dirty);
+        let ban = [(is1, Interval::new(0.0, 1e6))];
+        let banned = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &ban };
+        let mut scratch = LedgerCursor::new();
+        assert!(banned.check_replays(&topo, &trace.checks[0], &dirty, &mut scratch));
+        banned.rebind_trace(&topo, &mut trace);
+        assert_eq!(trace.checks[0].fits, None, "a ban-answered check keeps no sub-verdict");
+
+        // Nothing moved since the rebinding, but the ban is gone: the
+        // capacity verdict must be re-derived, and it flipped.
+        let unbanned = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &[] };
+        let clean = LedgerDelta::new();
+        assert!(!unbanned.check_replays(&topo, &trace.checks[0], &clean, &mut scratch));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! while running a slower implementation of exactly one layer:
 //!
 //! * [`sorp_solve_uncached`] is the pre-cache loop: a full
-//!   [`crate::detect_overflows`] and a fresh trial for every overflow
-//!   participant, every iteration;
+//!   [`crate::detect_overflows`] and a fresh trial of the shipped
+//!   rejective greedy for every overflow participant, every iteration;
 //! * [`sorp_solve_reference_ledger`] is the cached solver on the flat
 //!   per-profile rescan ([`LedgerMode::Reference`]).
 //!
@@ -22,6 +22,12 @@ use vod_topology::NodeId;
 /// 0, its `trials_run` counts every trial job, and its
 /// `nodes_rescanned` counts every finite-capacity storage every
 /// iteration.
+///
+/// Its trials run the same rejective greedy as the fast path, dead-cache
+/// pruning included: it checks the cache, not the greedy. The pruning
+/// is checked independently by `crates/core/tests/greedy_prune_props.rs`,
+/// which compares the shipped greedy with an unpruned copy kept in the
+/// test.
 pub fn sorp_solve_uncached(
     ctx: &SchedCtx<'_>,
     priced: PricedSchedule,

@@ -281,6 +281,28 @@ const MAX_TRIALS_PER_VIDEO: usize = 128;
 /// failed it, so it is stale for everyone); one that fails under
 /// *different* bans is kept — it may replay verbatim for another
 /// overflow's job.
+///
+/// The rejective greedy stops testing a cache after its first failed
+/// extension, so a trace ends each dead cache at that first failing
+/// check. Validation stays exact without knowing this: if the check
+/// still fails under the job's bans and the current ledger, a fresh
+/// greedy would kill the cache at the same point and skip the same
+/// later tests; if it flips, the entry is rejected anyway. No
+/// monotonicity is needed for that.
+///
+/// Pruning moved `trials_run` slightly at identical outcomes (perfbench
+/// `steady` seed 1: 18,671 → 18,663; `faults` seed 1: 10,882 → 10,881).
+/// The cause was not float rounding at the capacity boundary but stale
+/// capacity sub-verdicts: a check answered by a ban at rebinding kept
+/// its old `fits`, which later validations trusted. Where such a stale
+/// `false` sat on a dead cache's first check and a wider, dirty later
+/// check re-derived `true`, the unpruned trace missed and the pruned one
+/// hit — with a schedule a fresh greedy would not give.
+/// [`Constraints::rebind_trace`] now drops the sub-verdict of every
+/// check it finds banned. With that, an instrumented run that validated
+/// the pruned and the unpruned trace of every entry side by side saw
+/// them agree on every lookup, and every hit equal a fresh greedy's
+/// schedule.
 fn take_cached(
     cache: &mut HashMap<VideoId, Vec<CachedTrial>>,
     job: &TrialJob,

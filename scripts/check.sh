@@ -40,6 +40,12 @@ cargo bench --offline -p vod-bench --bench bandwidth_ledger -- --test
 echo "==> bandwidth run (link-capacity sweep through the vodx binary)"
 cargo run -q --release --offline -p vod-experiments --bin vodx -- bandwidth --fast >/dev/null
 
+echo "==> greedy pruning + trial-cache property suites (debug: debug_assert! live)"
+# The dead-cache skip in the rejective greedy re-checks itself with a
+# debug_assert!, which only the debug profile compiles in.
+cargo test -q --offline -p vod-core --test greedy_prune_props
+cargo test -q --offline -p vod-core --test sorp_cache_props
+
 echo "==> sharded-scheduler property suite"
 cargo test -q --offline -p vod-core --test shard_props
 
